@@ -22,7 +22,9 @@
 # hardware counters. Finishes with the bench
 # regression gate: re-runs the figure benches and diffs their JSON
 # against the checked-in BENCH_*.json baselines — counters exact,
-# timings and the machine block tolerated (lbp_stats diff policy).
+# timings and the machine block tolerated (lbp_stats diff policy) —
+# and a 2-second smoke of the repository benchmark (perfbench/run.py)
+# on its cold compile -> decode -> sim workload.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 
@@ -180,6 +182,11 @@ rm -f "$HISTORY"
     >/dev/null
 "$BUILD"/tools/lbp_stats diff BENCH_sim_fastpath.json \
     "$BUILD"/BENCH_sim_fastpath.json
+
+# Repository benchmark smoke: the cold compile -> decode -> sim path
+# over all registry configs must run and verify every output.
+python3 perfbench/run.py --workload cold_registry --seed 1 --seconds 2 \
+    --trace 0 | tail -n 1 | grep -q '"correct": true'
 
 # History gate + flight recorder: seed the store with the checked-in
 # baselines too (so every timing key has >1 sample), judge each fresh

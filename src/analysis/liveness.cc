@@ -1,7 +1,46 @@
 #include "analysis/liveness.hh"
 
+#include <bit>
+#include <utility>
+
 namespace lbp
 {
+
+int
+RegSet::count() const
+{
+    int c = 0;
+    for (std::uint64_t w : words_)
+        c += std::popcount(w);
+    return c;
+}
+
+RegSet &
+RegSet::operator|=(const RegSet &o)
+{
+    assert(o.words_.size() == words_.size());
+    for (size_t i = 0; i < words_.size(); ++i)
+        words_[i] |= o.words_[i];
+    return *this;
+}
+
+RegSet &
+RegSet::operator&=(const RegSet &o)
+{
+    assert(o.words_.size() == words_.size());
+    for (size_t i = 0; i < words_.size(); ++i)
+        words_[i] &= o.words_[i];
+    return *this;
+}
+
+RegSet &
+RegSet::operator-=(const RegSet &o)
+{
+    assert(o.words_.size() == words_.size());
+    for (size_t i = 0; i < words_.size(); ++i)
+        words_[i] &= ~o.words_[i];
+    return *this;
+}
 
 std::vector<RegId>
 Liveness::uses(const Operation &op)
@@ -50,75 +89,79 @@ Liveness::predDefs(const Operation &op)
 Liveness::Liveness(const Function &fn)
 {
     const size_t n = fn.blocks.size();
-    liveIn_.assign(n, {});
-    liveOut_.assign(n, {});
-    predLiveIn_.assign(n, {});
-    predLiveOut_.assign(n, {});
+    const RegSet noRegs(fn.nextReg), noPreds(fn.nextPred);
+    liveIn_.assign(n, noRegs);
+    liveOut_.assign(n, noRegs);
+    predLiveIn_.assign(n, noPreds);
+    predLiveOut_.assign(n, noPreds);
 
     // Per-block gen (upward-exposed uses) and kill (unconditional
     // defs). Guarded definitions are conservative: they do not kill.
-    std::vector<std::set<RegId>> gen(n), kill(n);
-    std::vector<std::set<PredId>> pgen(n), pkill(n);
+    std::vector<RegSet> gen(n, noRegs), kill(n, noRegs);
+    std::vector<RegSet> pgen(n, noPreds), pkill(n, noPreds);
     for (const auto &bb : fn.blocks) {
         if (bb.dead)
             continue;
+        RegSet &g = gen[bb.id], &k = kill[bb.id];
+        RegSet &pg = pgen[bb.id], &pk = pkill[bb.id];
         for (const auto &op : bb.ops) {
-            for (RegId r : uses(op)) {
-                if (!kill[bb.id].count(r))
-                    gen[bb.id].insert(r);
+            if (op.hasGuard() && !pk.test(op.guard))
+                pg.set(op.guard);
+            for (const auto &s : op.srcs) {
+                if (s.isReg() && !k.test(s.asReg()))
+                    g.set(s.asReg());
+                if (s.isPred() && !pk.test(s.asPred()))
+                    pg.set(s.asPred());
             }
-            for (PredId p : predUses(op)) {
-                if (!pkill[bb.id].count(p))
-                    pgen[bb.id].insert(p);
-            }
-            if (!op.hasGuard()) {
-                for (RegId r : defs(op))
-                    kill[bb.id].insert(r);
-            }
+            if (op.hasGuard())
+                continue;
+            for (const auto &d : op.dsts)
+                if (d.isReg())
+                    k.set(d.asReg());
             // Unconditional u-type predicate defines always write.
-            if (op.op == Opcode::PRED_DEF && !op.hasGuard()) {
+            if (op.op == Opcode::PRED_DEF) {
                 if (op.defKind0 == PredDefKind::UT ||
                     op.defKind0 == PredDefKind::UF) {
                     if (op.dsts[0].isPred())
-                        pkill[bb.id].insert(op.dsts[0].asPred());
+                        pk.set(op.dsts[0].asPred());
                 }
                 if (op.dsts.size() > 1 &&
                     (op.defKind1 == PredDefKind::UT ||
                      op.defKind1 == PredDefKind::UF)) {
                     if (op.dsts[1].isPred())
-                        pkill[bb.id].insert(op.dsts[1].asPred());
+                        pk.set(op.dsts[1].asPred());
                 }
             }
         }
     }
 
-    bool changed = true;
-    auto rpo = fn.reversePostorder();
-    while (changed) {
+    // in = gen | (out - kill), out = union of successors' in, iterated
+    // to the least fixpoint in reverse RPO.
+    const std::vector<BlockId> rpo = fn.reversePostorder();
+    RegSet out, in, pout, pin;
+    for (bool changed = true; changed;) {
         changed = false;
         for (auto it = rpo.rbegin(); it != rpo.rend(); ++it) {
             const BlockId b = *it;
-            std::set<RegId> out;
-            std::set<PredId> pout;
+            out = noRegs;
+            pout = noPreds;
             for (BlockId s : fn.blocks[b].successors()) {
-                out.insert(liveIn_[s].begin(), liveIn_[s].end());
-                pout.insert(predLiveIn_[s].begin(), predLiveIn_[s].end());
+                out |= liveIn_[s];
+                pout |= predLiveIn_[s];
             }
-            std::set<RegId> in = gen[b];
-            for (RegId r : out)
-                if (!kill[b].count(r))
-                    in.insert(r);
-            std::set<PredId> pin = pgen[b];
-            for (PredId p : pout)
-                if (!pkill[b].count(p))
-                    pin.insert(p);
+            in = out;
+            in -= kill[b];
+            in |= gen[b];
+            pin = pout;
+            pin -= pkill[b];
+            pin |= pgen[b];
             if (out != liveOut_[b] || in != liveIn_[b] ||
                 pout != predLiveOut_[b] || pin != predLiveIn_[b]) {
                 changed = true;
-                liveOut_[b] = std::move(out);
-                liveIn_[b] = std::move(in);
-                predLiveOut_[b] = std::move(pout);
-                predLiveIn_[b] = std::move(pin);
+                std::swap(liveOut_[b], out);
+                std::swap(liveIn_[b], in);
+                std::swap(predLiveOut_[b], pout);
+                std::swap(predLiveIn_[b], pin);
             }
         }
     }

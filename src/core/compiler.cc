@@ -30,14 +30,27 @@ isSimpleLoopBody(const BasicBlock &bb)
     return false;
 }
 
+/** Test seam: see setStageHookForTest. */
+StageHook gStageHook = nullptr;
+
+/** Count one interpreter run of the pipeline ("compile.interp.runs"). */
+void
+countInterpRun(obs::Registry *reg)
+{
+    if (reg)
+        reg->counter("compile.interp.runs").inc();
+}
+
+/** Re-interpret @p prog; throw naming @p stage on a checksum change. */
 void
 checkStage(const Program &prog, const CompileOptions &opts,
            std::uint64_t golden, const char *stage)
 {
-    if (!opts.verifyStages)
-        return;
-    Interpreter interp(prog);
-    const auto r = interp.run(opts.profileArgs);
+    const ExecResult r = [&] {
+        obs::prof::ScopedRegion region(obs::prof::Region::Interpret);
+        return Interpreter(prog).run(opts.profileArgs);
+    }();
+    countInterpRun(opts.obsRegistry);
     if (r.checksum != golden) {
         LBP_FATAL("semantic checksum mismatch after stage '", stage,
                   "' in program '", prog.name, "': golden=",
@@ -45,7 +58,128 @@ checkStage(const Program &prog, const CompileOptions &opts,
     }
 }
 
+/**
+ * Stages 01-11: profile (which fixes the golden checksum), then every
+ * IR-to-IR transform. Each stage is bracketed by a ScopedPhase:
+ * elapsed wall time lands in "compile.phase.<NN_stage>.ms" of
+ * @p timings and the static op-count delta in
+ * ".ops_before/.ops_after/.ops_delta"; the numeric prefix keeps the
+ * registry's name order equal to pipeline order. Every transform's
+ * output is structurally verified; with @p checkEachStage it is also
+ * re-interpreted against the golden checksum.
+ */
+void
+transformProgram(Program &prog, const CompileOptions &opts,
+                 CompileResult &out, obs::Registry *timings,
+                 bool checkEachStage)
+{
+    // 1. Profile + golden checksum.
+    const ProfiledRun run0 = [&] {
+        obs::ScopedPhase ph(timings, "compile.phase.01_profile",
+                            prog.sizeOps());
+        return profileProgram(prog, opts.profileArgs);
+    }();
+    countInterpRun(opts.obsRegistry);
+    out.goldenChecksum = run0.result.checksum;
+
+    VerifyOptions plain, hyper;
+    hyper.allowInternalBranches = true;
+    auto stage = [&](const char *name, const VerifyOptions &v,
+                     auto &&transform) {
+        obs::ScopedPhase ph(timings,
+                            std::string("compile.phase.") + name,
+                            prog.sizeOps());
+        transform();
+        if (gStageHook)
+            gStageHook(name, prog);
+        verifyOrDie(prog, v);
+        if (checkEachStage)
+            checkStage(prog, opts, out.goldenChecksum, name);
+        ph.finishOps(prog.sizeOps());
+    };
+
+    // 2. Profile-guided inlining (<= 50% expansion, per the paper).
+    if (opts.doInline) {
+        stage("02_inline", plain, [&] {
+            out.inlineStats = inlineHotCalls(prog, run0.profile);
+        });
+    }
+
+    // 3. Classic optimization + height reduction (reassociation is
+    //    part of the paper's "traditional loop optimizations" and the
+    //    Figure-2d height-reducing step).
+    stage("03_classic_opts", plain, [&] {
+        optimizeProgram(prog);
+        out.reassocStats = reassociate(prog);
+        optimizeProgram(prog);
+    });
+
+    // 4. Control transformations (Aggressive only).
+    if (opts.level == OptLevel::Aggressive) {
+        stage("04_peel", plain, [&] {
+            out.peelStats = peelLoops(prog, {}, &out.loopLog);
+        });
+        stage("05_if_convert", hyper, [&] {
+            out.ifConvertStats = ifConvertLoops(prog, {}, &out.loopLog);
+        });
+        stage("06_collapse", hyper, [&] {
+            out.collapseStats = collapseLoops(prog, {}, &out.loopLog);
+        });
+        // Collapsing can expose newly-childless outer loops.
+        stage("07_if_convert2", hyper, [&] {
+            auto s2 = ifConvertLoops(prog, {}, &out.loopLog);
+            out.ifConvertStats.loopsConverted += s2.loopsConverted;
+            out.ifConvertStats.blocksMerged += s2.blocksMerged;
+            out.ifConvertStats.predDefsInserted += s2.predDefsInserted;
+            out.ifConvertStats.sideExits += s2.sideExits;
+        });
+        stage("08_branch_combine", hyper, [&] {
+            out.branchCombineStats =
+                combineBranches(prog, {}, &out.loopLog);
+        });
+        stage("09_promote", hyper, [&] {
+            out.promoteStats = promoteOperations(prog);
+        });
+        stage("10_classic_opts2", hyper, [&] {
+            optimizeProgram(prog);
+            auto r2 = reassociate(prog);
+            out.reassocStats.chainsRebalanced += r2.chainsRebalanced;
+            out.reassocStats.opsInChains += r2.opsInChains;
+            optimizeProgram(prog);
+        });
+    }
+
+    // 5. Hardware-loop conversion (both levels).
+    stage("11_counted_loop",
+          opts.level == OptLevel::Aggressive ? hyper : plain,
+          [&] { out.countedLoopStats = convertCountedLoops(prog); });
+}
+
+/**
+ * The final checksum differs from the golden one. Rerun stages 01-11
+ * from @p input with an interpreter check after every stage, which
+ * throws naming the first stage whose output diverges; if none does,
+ * report the final mismatch. Never returns.
+ */
+[[noreturn]] void
+bisectMismatch(const Program &input, const CompileOptions &opts,
+               std::uint64_t golden, std::uint64_t got)
+{
+    CompileResult rerun;
+    rerun.ir = input;
+    transformProgram(rerun.ir, opts, rerun, nullptr, true);
+    LBP_FATAL("final profile checksum mismatch in program '", input.name,
+              "': golden=", golden, " got=", got,
+              " (no stage diverged when checked one by one)");
+}
+
 } // namespace
+
+void
+setStageHookForTest(StageHook hook)
+{
+    gStageHook = hook;
+}
 
 void
 compileProgram(const Program &input, const CompileOptions &opts,
@@ -59,144 +193,26 @@ compileProgram(const Program &input, const CompileOptions &opts,
     Program &prog = out.ir;
     out.originalOps = prog.sizeOps();
     verifyOrDie(prog);
-
-    // Each stage is bracketed by a ScopedPhase: elapsed wall time
-    // lands in "compile.phase.<NN_stage>.ms" and the static op-count
-    // delta in ".ops_before/.ops_after/.ops_delta". The numeric
-    // prefix keeps the registry's name order equal to pipeline order.
     auto phase = [&](const char *name) {
         return obs::ScopedPhase(reg,
                                 std::string("compile.phase.") + name,
                                 prog.sizeOps());
     };
 
-    // 1. Profile + golden checksum.
-    const ProfiledRun run0 = [&] {
-        auto ph = phase("01_profile");
-        return profileProgram(prog, opts.profileArgs);
-    }();
-    out.goldenChecksum = run0.result.checksum;
+    transformProgram(prog, opts, out, reg, false);
 
-    // 2. Profile-guided inlining (<= 50% expansion, per the paper).
-    if (opts.doInline) {
-        auto ph = phase("02_inline");
-        out.inlineStats = inlineHotCalls(prog, run0.profile);
-        verifyOrDie(prog);
-        checkStage(prog, opts, out.goldenChecksum, "inline");
-        ph.finishOps(prog.sizeOps());
-    }
-
-    // 3. Classic optimization + height reduction (reassociation is
-    //    part of the paper's "traditional loop optimizations" and the
-    //    Figure-2d height-reducing step).
-    {
-        auto ph = phase("03_classic_opts");
-        optimizeProgram(prog);
-        out.reassocStats = reassociate(prog);
-        optimizeProgram(prog);
-        verifyOrDie(prog);
-        checkStage(prog, opts, out.goldenChecksum, "classic-opts");
-        ph.finishOps(prog.sizeOps());
-    }
-
-    // 4. Control transformations (Aggressive only).
-    if (opts.level == OptLevel::Aggressive) {
-        {
-            auto ph = phase("04_peel");
-            out.peelStats = peelLoops(prog, {}, &out.loopLog);
-            verifyOrDie(prog);
-            checkStage(prog, opts, out.goldenChecksum, "peel");
-            ph.finishOps(prog.sizeOps());
-        }
-
-        VerifyOptions hyperOk;
-        hyperOk.allowInternalBranches = true;
-
-        {
-            auto ph = phase("05_if_convert");
-            out.ifConvertStats = ifConvertLoops(prog, {}, &out.loopLog);
-            verifyOrDie(prog, hyperOk);
-            checkStage(prog, opts, out.goldenChecksum, "if-convert");
-            ph.finishOps(prog.sizeOps());
-        }
-
-        {
-            auto ph = phase("06_collapse");
-            out.collapseStats = collapseLoops(prog, {}, &out.loopLog);
-            verifyOrDie(prog, hyperOk);
-            checkStage(prog, opts, out.goldenChecksum, "collapse");
-            ph.finishOps(prog.sizeOps());
-        }
-
-        // Collapsing can expose newly-childless outer loops.
-        {
-            auto ph = phase("07_if_convert2");
-            auto s2 = ifConvertLoops(prog, {}, &out.loopLog);
-            out.ifConvertStats.loopsConverted += s2.loopsConverted;
-            out.ifConvertStats.blocksMerged += s2.blocksMerged;
-            out.ifConvertStats.predDefsInserted += s2.predDefsInserted;
-            out.ifConvertStats.sideExits += s2.sideExits;
-            verifyOrDie(prog, hyperOk);
-            checkStage(prog, opts, out.goldenChecksum, "if-convert-2");
-            ph.finishOps(prog.sizeOps());
-        }
-
-        {
-            auto ph = phase("08_branch_combine");
-            out.branchCombineStats =
-                combineBranches(prog, {}, &out.loopLog);
-            verifyOrDie(prog, hyperOk);
-            checkStage(prog, opts, out.goldenChecksum,
-                       "branch-combine");
-            ph.finishOps(prog.sizeOps());
-        }
-
-        {
-            auto ph = phase("09_promote");
-            out.promoteStats = promoteOperations(prog);
-            verifyOrDie(prog, hyperOk);
-            checkStage(prog, opts, out.goldenChecksum, "promote");
-            ph.finishOps(prog.sizeOps());
-        }
-
-        {
-            auto ph = phase("10_classic_opts2");
-            optimizeProgram(prog);
-            {
-                auto r2 = reassociate(prog);
-                out.reassocStats.chainsRebalanced +=
-                    r2.chainsRebalanced;
-                out.reassocStats.opsInChains += r2.opsInChains;
-            }
-            optimizeProgram(prog);
-            verifyOrDie(prog, hyperOk);
-            checkStage(prog, opts, out.goldenChecksum,
-                       "classic-opts-2");
-            ph.finishOps(prog.sizeOps());
-        }
-    }
-
-    // 5. Hardware-loop conversion (both levels).
-    {
-        auto ph = phase("11_counted_loop");
-        out.countedLoopStats = convertCountedLoops(prog);
-        {
-            VerifyOptions v;
-            v.allowInternalBranches =
-                opts.level == OptLevel::Aggressive;
-            verifyOrDie(prog, v);
-        }
-        checkStage(prog, opts, out.goldenChecksum, "counted-loop");
-        ph.finishOps(prog.sizeOps());
-    }
-
-    // 6. Refresh the profile (weights drive buffer allocation).
+    // 6. Refresh the profile (weights drive buffer allocation). This
+    //    is the pipeline's one semantic check: only on a mismatch is
+    //    it repeated stage by stage, to name the guilty stage.
     {
         auto ph = phase("12_reprofile");
-        auto run1 = profileProgram(prog, opts.profileArgs);
-        LBP_ASSERT(run1.result.checksum == out.goldenChecksum,
-                   "final profile checksum mismatch");
-        out.transformedChecksum = run1.result.checksum;
+        out.transformedChecksum =
+            profileProgram(prog, opts.profileArgs).result.checksum;
+        countInterpRun(reg);
+    }
+    if (out.transformedChecksum != out.goldenChecksum) {
+        bisectMismatch(input, opts, out.goldenChecksum,
+                       out.transformedChecksum);
     }
     out.finalOps = prog.sizeOps();
 

@@ -13,8 +13,13 @@
  * Two configurations mirror the paper's comparison: `Traditional`
  * (classic optimization only — no predication, no nested-loop
  * transformations) and `Aggressive` (the full hyperblock stack).
- * Every stage is checked: the transformed IR must reproduce the
- * original program's interpreter checksum.
+ *
+ * Semantics are checked once: the reprofile run after the last
+ * transform must reproduce the original program's interpreter
+ * checksum. Only on a mismatch is the pipeline rerun from the input
+ * with an interpreter check after every stage, so the error names the
+ * first stage whose output diverges. Every stage's output is also
+ * structurally verified (ir/verifier.hh).
  */
 
 #ifndef LBP_CORE_COMPILER_HH
@@ -75,13 +80,13 @@ struct CompileOptions
      * register file.
      */
     int predQueueDepth = 0;
-    bool verifyStages = true;   ///< re-interpret after transforms
     std::vector<std::int64_t> profileArgs;
 
     /**
      * Optional pipeline profiling: when set, every stage publishes a
      * scoped wall-clock timing ("compile.phase.<NN_stage>.ms") and
-     * its static op-count delta into this registry. Null (the
+     * its static op-count delta into this registry, and every
+     * interpreter run counts in "compile.interp.runs". Null (the
      * default) keeps the pipeline observability-free.
      */
     obs::Registry *obsRegistry = nullptr;
@@ -131,11 +136,22 @@ struct CompileResult
 };
 
 /**
- * Run the pipeline. Throws (fatal) on a stage checksum mismatch when
- * verifyStages is set.
+ * Run the pipeline. Throws (fatal) on a checksum mismatch, naming the
+ * first diverging stage.
  */
 void compileProgram(const Program &input, const CompileOptions &opts,
                     CompileResult &out);
+
+/** Called with a stage's phase name and its output program. */
+using StageHook = void (*)(const char *stage, Program &prog);
+
+/**
+ * Test-only: run @p hook after every transform stage (02_inline ..
+ * 11_counted_loop), before the stage's structural check, so a unit
+ * test can corrupt one stage and see the mismatch named. nullptr
+ * clears it.
+ */
+void setStageHookForTest(StageHook hook);
 
 /**
  * Re-run buffer allocation (and relink) for a different buffer size

@@ -1,7 +1,6 @@
 #include "core/metrics.hh"
 
 #include <map>
-#include <set>
 
 #include "analysis/liveness.hh"
 
@@ -152,30 +151,29 @@ collectRegisterPressure(const CompileResult &cr)
             // Sweep the block backwards maintaining the live set,
             // seeded with live-out (which, for a loop body, includes
             // the next iteration's needs via the backedge).
-            std::set<RegId> liveNow = live.liveOut(bb.id);
-            int maxLive = static_cast<int>(liveNow.size());
+            RegSet liveNow = live.liveOut(bb.id);
+            int maxLive = liveNow.count();
             for (auto it = bb.ops.rbegin(); it != bb.ops.rend();
                  ++it) {
                 if (!it->hasGuard()) {
                     for (RegId d : Liveness::defs(*it))
-                        liveNow.erase(d);
+                        liveNow.reset(d);
                 }
                 for (RegId u : Liveness::uses(*it))
-                    liveNow.insert(u);
-                maxLive = std::max(
-                    maxLive, static_cast<int>(liveNow.size()));
+                    liveNow.set(u);
+                maxLive = std::max(maxLive, liveNow.count());
             }
             // Pipelined loops replicate loop-carried values across
             // mveFactor overlapped iterations; values private to one
             // iteration are not expanded.
             int carried = 0;
             if (sb.pipelined && sb.mveFactor > 1) {
-                std::set<RegId> defined;
+                RegSet defined(fn.nextReg);
                 for (const auto &op : bb.ops)
                     for (RegId d : Liveness::defs(op))
-                        defined.insert(d);
-                for (RegId r : live.liveIn(bb.id))
-                    carried += defined.count(r) != 0;
+                        defined.set(d);
+                defined &= live.liveIn(bb.id);
+                carried = defined.count();
             }
             const int effective =
                 maxLive + (sb.mveFactor - 1) * carried;

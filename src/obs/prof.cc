@@ -32,6 +32,7 @@ regionName(Region r)
       case Region::TraceBuild: return "traceBuild";
       case Region::SimReference: return "simReference";
       case Region::Bench: return "bench";
+      case Region::Interpret: return "interpret";
       case Region::Count: break;
     }
     return "untracked";

@@ -66,6 +66,7 @@ enum class Region : std::uint8_t
     TraceBuild,   ///< trace-cache build + gating
     SimReference, ///< reference interpreter
     Bench,        ///< bench / CLI driver harness
+    Interpret,    ///< IR interpreter runs inside compileProgram
     Count,        ///< first dynamic (interned) id
 };
 

@@ -1,5 +1,7 @@
 #include "profile/profile.hh"
 
+#include "obs/prof.hh"
+
 namespace lbp
 {
 
@@ -64,7 +66,10 @@ profileProgram(Program &prog, const std::vector<std::int64_t> &args)
     ProfiledRun out;
     Interpreter interp(prog);
     interp.setProfileSink(&out.profile);
-    out.result = interp.run(args);
+    {
+        obs::prof::ScopedRegion region(obs::prof::Region::Interpret);
+        out.result = interp.run(args);
+    }
     out.profile.annotate(prog);
     return out;
 }

@@ -57,7 +57,7 @@ combineInBlock(Function &fn, BlockId blkId,
     // registers live-in at the exit target, (c) no redefinition of the
     // exit predicate. We take the maximal eligible suffix of exits.
     auto eligibleFrom = [&](const Exit &e) {
-        const std::set<RegId> &tgt_live = live.liveIn(e.target);
+        const RegSet &tgt_live = live.liveIn(e.target);
         for (size_t j = e.idx + 1; j < bb.ops.size(); ++j) {
             const Operation &op = bb.ops[j];
             if (isStore(op.op) || op.op == Opcode::CALL)
@@ -69,7 +69,7 @@ combineInBlock(Function &fn, BlockId blkId,
                 return false;
             }
             for (RegId d : Liveness::defs(op)) {
-                if (tgt_live.count(d))
+                if (tgt_live.test(d))
                     return false;
             }
             for (PredId p : Liveness::predDefs(op)) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "analysis/liveness.hh"
 #include "ir/interpreter.hh"
@@ -208,58 +207,55 @@ deadCodeElim(Function &fn)
 {
     OptStats st;
     Liveness live(fn);
+    std::vector<char> keep;
     for (auto &bb : fn.blocks) {
         if (bb.dead)
             continue;
         // Backward scan with a running live set seeded by live-out.
-        std::set<RegId> liveNow = live.liveOut(bb.id);
-        std::set<PredId> predLiveNow = live.predLiveOut(bb.id);
-        std::vector<char> keep(bb.ops.size(), 1);
+        RegSet liveNow = live.liveOut(bb.id);
+        RegSet predLiveNow = live.predLiveOut(bb.id);
+        keep.assign(bb.ops.size(), 1);
+        bool dropped = false;
         for (int i = static_cast<int>(bb.ops.size()) - 1; i >= 0; --i) {
-            Operation &op = bb.ops[i];
+            const Operation &op = bb.ops[i];
             bool needed = hasSideEffects(op);
             if (!needed) {
-                for (RegId d : Liveness::defs(op)) {
-                    if (liveNow.count(d))
+                for (const auto &d : op.dsts)
+                    if (d.isReg() && liveNow.test(d.asReg()))
                         needed = true;
-                }
             }
             // A pred_def is removable if all pred destinations are
             // dead (and none are slots).
             if (op.op == Opcode::PRED_DEF) {
                 needed = false;
                 for (const auto &d : op.dsts) {
-                    if (!d.isPred() || predLiveNow.count(d.asPred()))
+                    if (!d.isPred() || predLiveNow.test(d.asPred()))
                         needed = true;
                 }
             }
             if (!needed) {
                 keep[i] = 0;
+                dropped = true;
                 ++st.eliminated;
                 continue;
             }
-            // Update live sets.
-            if (!op.hasGuard()) {
-                for (RegId d : Liveness::defs(op))
-                    liveNow.erase(d);
-                if (op.op == Opcode::PRED_DEF) {
-                    for (const auto &d : op.dsts) {
-                        if (d.isPred() &&
-                            (op.defKind0 == PredDefKind::UT ||
-                             op.defKind0 == PredDefKind::UF)) {
-                            // Only kind0's unconditional write kills
-                            // reliably; be conservative and keep preds
-                            // live.
-                        }
-                    }
-                }
+            // Update live sets. Predicate defines never kill here:
+            // keeping predicates live is the conservative choice.
+            if (op.hasGuard()) {
+                predLiveNow.set(op.guard);
+            } else {
+                for (const auto &d : op.dsts)
+                    if (d.isReg())
+                        liveNow.reset(d.asReg());
             }
-            for (RegId u : Liveness::uses(op))
-                liveNow.insert(u);
-            for (PredId p : Liveness::predUses(op))
-                predLiveNow.insert(p);
+            for (const auto &s : op.srcs) {
+                if (s.isReg())
+                    liveNow.set(s.asReg());
+                else if (s.isPred())
+                    predLiveNow.set(s.asPred());
+            }
         }
-        if (st.eliminated > 0) {
+        if (dropped) {
             std::vector<Operation> kept;
             kept.reserve(bb.ops.size());
             for (size_t i = 0; i < bb.ops.size(); ++i)

@@ -1,7 +1,5 @@
 #include "transform/promote.hh"
 
-#include <set>
-
 #include "analysis/liveness.hh"
 #include "support/logging.hh"
 
@@ -22,12 +20,10 @@ promoteOperations(Function &fn)
         // upward-exposed-read check below (a conservative liveOut
         // that includes the self-loop would veto every guarded loop
         // temporary).
-        std::set<RegId> exitLive;
+        RegSet exitLive(fn.nextReg);
         for (BlockId s : bb.successors()) {
-            if (s == bb.id)
-                continue;
-            const auto &in = live.liveIn(s);
-            exitLive.insert(in.begin(), in.end());
+            if (s != bb.id)
+                exitLive |= live.liveIn(s);
         }
 
         for (size_t i = 0; i < bb.ops.size(); ++i) {
@@ -82,7 +78,7 @@ promoteOperations(Function &fn)
 
             // (c) The spurious value must not escape through a loop
             // exit (unless a later write re-kills it on every path).
-            if (!rewritten && exitLive.count(r))
+            if (!rewritten && exitLive.test(r))
                 continue;
 
             op.guard = kNoPred;

@@ -42,7 +42,7 @@ struct Chain
  */
 Chain
 findChain(const BasicBlock &bb, size_t start,
-          const std::set<RegId> &liveOut,
+          const RegSet &liveOut,
           const std::vector<char> &consumed)
 {
     Chain chain;
@@ -94,7 +94,7 @@ findChain(const BasicBlock &bb, size_t start,
             break; // both or neither
         // Intermediate dst must die here: not live-out, and the scan
         // above guaranteed no other readers.
-        if (liveOut.count(dst) && !next.writesReg(dst))
+        if (liveOut.test(dst) && !next.writesReg(dst))
             break;
         cur = reader;
     }
@@ -171,7 +171,7 @@ reassociate(Function &fn)
     for (auto &bb : fn.blocks) {
         if (bb.dead)
             continue;
-        const std::set<RegId> &liveOut = live.liveOut(bb.id);
+        const RegSet &liveOut = live.liveOut(bb.id);
         std::vector<char> consumed(bb.ops.size(), 0);
 
         std::vector<Chain> chains;

@@ -141,9 +141,9 @@ TEST(Liveness, UsesAndKills)
     const RegId y = b.add(R(x), I(1));
     b.ret({R(y)});
     Liveness live(prog.functions[f]);
-    EXPECT_TRUE(live.liveIn(next).count(x));
-    EXPECT_FALSE(live.liveIn(next).count(y));
-    EXPECT_TRUE(live.liveOut(prog.functions[f].entry).count(x));
+    EXPECT_TRUE(live.liveIn(next).test(x));
+    EXPECT_FALSE(live.liveIn(next).test(y));
+    EXPECT_TRUE(live.liveOut(prog.functions[f].entry).test(x));
 }
 
 TEST(Liveness, LoopCarriedLiveness)
@@ -158,8 +158,85 @@ TEST(Liveness, LoopCarriedLiveness)
     b.ret({R(acc)});
     Liveness live(prog.functions[f]);
     // acc is live around the backedge.
-    EXPECT_TRUE(live.liveIn(head).count(acc));
-    EXPECT_TRUE(live.liveOut(head).count(acc));
+    EXPECT_TRUE(live.liveIn(head).test(acc));
+    EXPECT_TRUE(live.liveOut(head).test(acc));
+}
+
+TEST(Liveness, GuardedDefDoesNotKill)
+{
+    // x's guarded redefinition may not execute, so the value from
+    // entry still reaches the return; the unguarded one kills it.
+    for (bool guarded : {true, false}) {
+        Program prog;
+        const FuncId f = prog.newFunction("f");
+        IRBuilder b(prog, f);
+        const RegId x = b.iconst(1);
+        const PredId p = b.newPred();
+        b.predDef(PredDefKind::UT, p, CmpCond::EQ, I(0), I(0));
+        const BlockId mid = b.makeBlock("mid");
+        b.fallTo(mid);
+        b.at(mid);
+        if (guarded)
+            b.setGuard(p);
+        b.movTo(x, I(2));
+        b.clearGuard();
+        b.ret({R(x)});
+        Liveness live(prog.functions[f]);
+        EXPECT_EQ(live.liveIn(mid).test(x), guarded);
+        EXPECT_EQ(live.liveOut(prog.functions[f].entry).test(x), guarded);
+        EXPECT_EQ(live.predLiveIn(mid).test(p), guarded);
+    }
+}
+
+TEST(Liveness, UTypePredDefKillsOrTypeDoesNot)
+{
+    Program prog;
+    const FuncId f = prog.newFunction("f");
+    IRBuilder b(prog, f);
+    const PredId u = b.newPred();
+    const PredId o = b.newPred();
+    const BlockId mid = b.makeBlock("mid");
+    b.fallTo(mid);
+    b.at(mid);
+    b.predDef(PredDefKind::UT, u, CmpCond::EQ, I(0), I(0));
+    b.predDef(PredDefKind::OT, o, CmpCond::EQ, I(0), I(0));
+    b.setGuard(u);
+    const RegId y = b.iconst(1);
+    b.setGuard(o);
+    b.movTo(y, I(2));
+    b.clearGuard();
+    b.ret({R(y)});
+    Liveness live(prog.functions[f]);
+    // The u-type define writes u on every path; the or-type define
+    // writes o only when its condition holds, so o's incoming value
+    // is still read.
+    EXPECT_FALSE(live.predLiveIn(mid).test(u));
+    EXPECT_TRUE(live.predLiveIn(mid).test(o));
+    EXPECT_TRUE(live.predLiveOut(prog.functions[f].entry).test(o));
+}
+
+TEST(Liveness, LoopCarriedPredicate)
+{
+    // p guards the body's first op and is only redefined at its
+    // bottom: each iteration reads the previous iteration's p.
+    Program prog;
+    const FuncId f = prog.newFunction("f");
+    IRBuilder b(prog, f);
+    const RegId acc = b.iconst(0);
+    const PredId p = b.newPred();
+    b.predDef(PredDefKind::UT, p, CmpCond::TRUE_, I(0), I(0));
+    const BlockId head = b.forLoop(0, 4, 1, [&](RegId i) {
+        b.setGuard(p);
+        b.addTo(acc, R(acc), I(1));
+        b.clearGuard();
+        b.predDef(PredDefKind::UT, p, CmpCond::LT, R(i), I(2));
+    });
+    b.ret({R(acc)});
+    const Function &fn = prog.functions[f];
+    Liveness live(fn);
+    EXPECT_TRUE(live.predLiveIn(head).test(p));
+    EXPECT_TRUE(live.predLiveOut(head).test(p));
+    EXPECT_FALSE(live.predLiveIn(fn.entry).test(p));
 }
 
 TEST(DepGraph, TrueAntiOutput)

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/compiler.hh"
 #include "core/metrics.hh"
 #include "ir/builder.hh"
+#include "obs/registry.hh"
 #include "sim/vliw_sim.hh"
 #include "workloads/input_data.hh"
 #include "workloads/registry.hh"
@@ -116,15 +120,103 @@ TEST(Compiler, ModuloDisableFallsBackToList)
     EXPECT_EQ(sim.run().checksum, cr.goldenChecksum);
 }
 
-TEST(Compiler, StageVerificationCatchesNothingOnCleanInput)
+TEST(Compiler, CleanCompileInterpretsTwice)
 {
-    // verifyStages on: compiles without throwing on all workloads is
-    // covered elsewhere; here just assert the flag path works.
+    // The profile and the reprofile are the only interpreter runs: no
+    // per-stage checks unless the final checksum mismatches.
+    Program prog = smallProgram();
+    for (OptLevel lvl : {OptLevel::Traditional, OptLevel::Aggressive}) {
+        obs::Registry reg;
+        CompileOptions opts;
+        opts.level = lvl;
+        opts.obsRegistry = &reg;
+        CompileResult cr;
+        compileProgram(prog, opts, cr);
+        const obs::Counter *runs = reg.findCounter("compile.interp.runs");
+        ASSERT_NE(runs, nullptr);
+        EXPECT_EQ(runs->value(), 2u);
+    }
+}
+
+/** Stage whose output the corrupting hooks below break. */
+constexpr const char *kBadStage = "09_promote";
+int gCorruptions = 0;
+
+/**
+ * Change the first `mov r, 0` to `mov r, 7` after kBadStage: the
+ * program stays well-formed but computes a different checksum.
+ */
+void
+corruptBadStage(const char *stage, Program &prog)
+{
+    if (std::string(stage) != kBadStage)
+        return;
+    for (auto &fn : prog.functions)
+        for (auto &bb : fn.blocks)
+            for (auto &op : bb.ops)
+                if (!bb.dead && op.op == Opcode::MOV &&
+                    op.srcs[0].isImm() && op.srcs[0].value == 0) {
+                    op.srcs[0].value = 7;
+                    ++gCorruptions;
+                    return;
+                }
+}
+
+/** As corruptBadStage, but only in the first compile of a program. */
+void
+corruptOnce(const char *stage, Program &prog)
+{
+    if (gCorruptions == 0)
+        corruptBadStage(stage, prog);
+}
+
+/** compileProgram's fatal error message under @p hook ("" if none). */
+std::string
+compileError(StageHook hook, obs::Registry &reg)
+{
     Program prog = smallProgram();
     CompileOptions opts;
-    opts.verifyStages = true;
+    opts.level = OptLevel::Aggressive;
+    opts.obsRegistry = &reg;
     CompileResult cr;
-    EXPECT_NO_THROW(compileProgram(prog, opts, cr));
+    gCorruptions = 0;
+    setStageHookForTest(hook);
+    std::string msg;
+    try {
+        compileProgram(prog, opts, cr);
+    } catch (const std::runtime_error &e) {
+        msg = e.what();
+    }
+    setStageHookForTest(nullptr);
+    return msg;
+}
+
+TEST(Compiler, CorruptedStageIsNamed)
+{
+    obs::Registry reg;
+    const std::string msg = compileError(corruptBadStage, reg);
+    EXPECT_NE(msg.find("semantic checksum mismatch after stage '" +
+                       std::string(kBadStage) + "'"),
+              std::string::npos)
+        << msg;
+    // Corrupted in the compile and again in the bisection rerun,
+    // which checks 02_inline .. 09_promote and stops there: 2 + 1
+    // profile runs + 8 stage checks.
+    EXPECT_EQ(gCorruptions, 2);
+    EXPECT_EQ(reg.findCounter("compile.interp.runs")->value(), 11u);
+}
+
+TEST(Compiler, UnreproducedMismatchReportsTheFinalChecksum)
+{
+    obs::Registry reg;
+    const std::string msg = compileError(corruptOnce, reg);
+    EXPECT_NE(msg.find("final profile checksum mismatch"),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(msg.find("after stage"), std::string::npos) << msg;
+    EXPECT_EQ(gCorruptions, 1);
+    // The rerun checked all ten transform stages.
+    EXPECT_EQ(reg.findCounter("compile.interp.runs")->value(), 13u);
 }
 
 TEST(Compiler, CodeSizeAccounting)

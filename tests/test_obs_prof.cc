@@ -76,6 +76,8 @@ TEST(ObsProf, RegionNamesAreStable)
     EXPECT_STREQ(prof::regionName(prof::Region::SimReference),
                  "simReference");
     EXPECT_STREQ(prof::regionName(prof::Region::Bench), "bench");
+    EXPECT_STREQ(prof::regionName(prof::Region::Interpret),
+                 "interpret");
 }
 
 TEST(ObsProf, InternRegionIsIdempotentAndLabeled)
