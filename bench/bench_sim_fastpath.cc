@@ -237,7 +237,6 @@ writeJson(const std::string &path, const std::string &historyPath,
     tcj.set("builds", Json::uinteger(tc.builds));
     tcj.set("replays", Json::uinteger(tc.replays));
     tcj.set("bailouts", Json::uinteger(tc.bailouts));
-    tcj.set("invalidations", Json::uinteger(tc.invalidations));
     tcj.set("replayed_iterations",
             Json::uinteger(tc.replayedIterations));
     tcj.set("replayed_ops", Json::uinteger(tc.replayedOps));

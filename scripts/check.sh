@@ -97,6 +97,11 @@ LBP_SIM_NO_TRACE_CACHE=1 \
 LBP_SIM_NO_PRED_REPLAY=1 \
     "$SAN_BUILD"/tests/lbp_sim_tests \
     --gtest_filter='*EngineDifferential*' --gtest_brief=1
+# The INT64_MIN / -1 repro under UBSan, by name: every executor and
+# the constant folder must produce the defined value, never perform
+# the overflowing division.
+"$SAN_BUILD"/tests/lbp_sim_tests --gtest_filter='Sim.DivInt64MinRepro' \
+    --gtest_brief=1
 # Profiler under ASan, by name: live sampling with concurrent region
 # markers (the SIGPROF handler's single-writer discipline).
 "$SAN_BUILD"/tests/lbp_obs_tests \

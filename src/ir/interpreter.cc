@@ -2,39 +2,11 @@
 
 #include <algorithm>
 
+#include "ir/semantics.hh"
 #include "support/logging.hh"
 
 namespace lbp
 {
-
-namespace
-{
-
-/** Saturate to signed 16-bit, the DSP intrinsic range. */
-std::int64_t
-sat16(std::int64_t v)
-{
-    return std::clamp<std::int64_t>(v, -32768, 32767);
-}
-
-double
-asDouble(std::int64_t v)
-{
-    double d;
-    static_assert(sizeof(d) == sizeof(v));
-    __builtin_memcpy(&d, &v, sizeof(d));
-    return d;
-}
-
-std::int64_t
-asBits(double d)
-{
-    std::int64_t v;
-    __builtin_memcpy(&v, &d, sizeof(v));
-    return v;
-}
-
-} // namespace
 
 std::uint64_t
 fnv1a(const std::uint8_t *data, size_t size)
@@ -122,18 +94,7 @@ Interpreter::execPredDef(Frame &fr, const Operation &op)
         PredId p = dst.asPred();
         LBP_ASSERT(p != kNoPred && p < fr.preds.size(),
                    "bad pred destination");
-        int write = -1; // -1: no update
-        switch (k) {
-          case PredDefKind::UT: write = g ? (c ? 1 : 0) : 0; break;
-          case PredDefKind::UF: write = g ? (c ? 0 : 1) : 0; break;
-          case PredDefKind::OT: if (g && c) write = 1; break;
-          case PredDefKind::OF: if (g && !c) write = 1; break;
-          case PredDefKind::AT: if (g && !c) write = 0; break;
-          case PredDefKind::AF: if (g && c) write = 0; break;
-          case PredDefKind::CT: if (g) write = c ? 1 : 0; break;
-          case PredDefKind::CF: if (g) write = c ? 0 : 1; break;
-          default: LBP_PANIC("bad pred def kind");
-        }
+        const int write = predDefWrite(k, g, c);
         if (write >= 0)
             fr.preds[p] = static_cast<std::uint8_t>(write);
     };
@@ -143,70 +104,21 @@ Interpreter::execPredDef(Frame &fr, const Operation &op)
 }
 
 std::int64_t
-Interpreter::evalAlu(const Operation &op, std::int64_t a,
-                     std::int64_t b) const
-{
-    switch (op.op) {
-      case Opcode::ADD: return a + b;
-      case Opcode::SUB: return a - b;
-      case Opcode::MUL: return a * b;
-      case Opcode::DIV:
-        LBP_ASSERT(b != 0, "division by zero");
-        return a / b;
-      case Opcode::REM:
-        LBP_ASSERT(b != 0, "remainder by zero");
-        return a % b;
-      case Opcode::AND: return a & b;
-      case Opcode::OR: return a | b;
-      case Opcode::XOR: return a ^ b;
-      case Opcode::SHL: return a << (b & 63);
-      case Opcode::SHR:
-        return static_cast<std::int64_t>(
-            static_cast<std::uint64_t>(a) >> (b & 63));
-      case Opcode::SHRA: return a >> (b & 63);
-      case Opcode::MIN: return std::min(a, b);
-      case Opcode::MAX: return std::max(a, b);
-      case Opcode::SATADD: return sat16(a + b);
-      case Opcode::SATSUB: return sat16(a - b);
-      case Opcode::CMP:
-        return evalCond(op.cond, a, b) ? 1 : 0;
-      case Opcode::FADD: return asBits(asDouble(a) + asDouble(b));
-      case Opcode::FSUB: return asBits(asDouble(a) - asDouble(b));
-      case Opcode::FMUL: return asBits(asDouble(a) * asDouble(b));
-      case Opcode::FDIV: return asBits(asDouble(a) / asDouble(b));
-      default: LBP_PANIC("evalAlu on non-ALU opcode");
-    }
-}
-
-std::int64_t
 Interpreter::loadMem(Opcode op, std::int64_t addr) const
 {
     LBP_ASSERT(addr >= 0, "negative load address");
-    size_t need = op == Opcode::LD_B ? 1 : op == Opcode::LD_H ? 2 : 4;
-    LBP_ASSERT(static_cast<size_t>(addr) + need <= mem_.size(),
+    LBP_ASSERT(static_cast<size_t>(addr) + memWidth(op) <= mem_.size(),
                "load out of bounds @", addr);
-    std::uint32_t raw = 0;
-    for (size_t i = 0; i < need; ++i)
-        raw |= static_cast<std::uint32_t>(mem_[addr + i]) << (8 * i);
-    switch (op) {
-      case Opcode::LD_B:
-        return static_cast<std::int8_t>(raw);
-      case Opcode::LD_H:
-        return static_cast<std::int16_t>(raw);
-      default:
-        return static_cast<std::int32_t>(raw);
-    }
+    return loadValue(op, mem_.data() + addr);
 }
 
 void
 Interpreter::storeMem(Opcode op, std::int64_t addr, std::int64_t v)
 {
     LBP_ASSERT(addr >= 0, "negative store address");
-    size_t need = op == Opcode::ST_B ? 1 : op == Opcode::ST_H ? 2 : 4;
-    LBP_ASSERT(static_cast<size_t>(addr) + need <= mem_.size(),
+    LBP_ASSERT(static_cast<size_t>(addr) + memWidth(op) <= mem_.size(),
                "store out of bounds @", addr);
-    for (size_t i = 0; i < need; ++i)
-        mem_[addr + i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
+    storeValue(op, mem_.data() + addr, v);
 }
 
 std::vector<std::int64_t>
@@ -270,22 +182,10 @@ Interpreter::callFunction(const Function &fn,
 
           case Opcode::MOV:
           case Opcode::ABS:
-            fr.regs[op.dsts[0].asReg()] =
-                op.op == Opcode::MOV
-                    ? readOperand(fr, op.srcs[0])
-                    : std::abs(readOperand(fr, op.srcs[0]));
-            ++idx;
-            break;
-
           case Opcode::ITOF:
-            fr.regs[op.dsts[0].asReg()] = asBits(
-                static_cast<double>(readOperand(fr, op.srcs[0])));
-            ++idx;
-            break;
-
           case Opcode::FTOI:
-            fr.regs[op.dsts[0].asReg()] = static_cast<std::int64_t>(
-                asDouble(readOperand(fr, op.srcs[0])));
+            fr.regs[op.dsts[0].asReg()] =
+                evalUnary(op.op, readOperand(fr, op.srcs[0]));
             ++idx;
             break;
 
@@ -303,11 +203,9 @@ Interpreter::callFunction(const Function &fn,
           case Opcode::LD_W: {
             const std::int64_t addr = readOperand(fr, op.srcs[0]) +
                                       readOperand(fr, op.srcs[1]);
-            const size_t need = op.op == Opcode::LD_B ? 1
-                                : op.op == Opcode::LD_H ? 2 : 4;
             if (op.speculative &&
-                (addr < 0 ||
-                 static_cast<size_t>(addr) + need > mem_.size())) {
+                (addr < 0 || static_cast<size_t>(addr) +
+                                     memWidth(op.op) > mem_.size())) {
                 // Speculative (non-faulting) load form: out-of-range
                 // accesses deliver 0 instead of faulting.
                 fr.regs[op.dsts[0].asReg()] = 0;
@@ -468,7 +366,8 @@ Interpreter::callFunction(const Function &fn,
             // Binary ALU family.
             const std::int64_t a = readOperand(fr, op.srcs[0]);
             const std::int64_t b = readOperand(fr, op.srcs[1]);
-            fr.regs[op.dsts[0].asReg()] = evalAlu(op, a, b);
+            fr.regs[op.dsts[0].asReg()] =
+                evalBinary(op.op, op.cond, a, b);
             ++idx;
             break;
           }

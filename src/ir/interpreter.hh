@@ -119,8 +119,6 @@ class Interpreter
     std::int64_t readOperand(const Frame &fr, const Operand &o) const;
     bool guardPasses(const Frame &fr, const Operation &op) const;
     void execPredDef(Frame &fr, const Operation &op);
-    std::int64_t evalAlu(const Operation &op, std::int64_t a,
-                         std::int64_t b) const;
     std::int64_t loadMem(Opcode op, std::int64_t addr) const;
     void storeMem(Opcode op, std::int64_t addr, std::int64_t v);
 

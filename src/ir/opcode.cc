@@ -231,27 +231,6 @@ latencyOf(Opcode op)
     }
 }
 
-bool
-evalCond(CmpCond c, std::int64_t a, std::int64_t b)
-{
-    switch (c) {
-      case CmpCond::EQ: return a == b;
-      case CmpCond::NE: return a != b;
-      case CmpCond::LT: return a < b;
-      case CmpCond::LE: return a <= b;
-      case CmpCond::GT: return a > b;
-      case CmpCond::GE: return a >= b;
-      case CmpCond::LTU:
-        return static_cast<std::uint64_t>(a) < static_cast<std::uint64_t>(b);
-      case CmpCond::GEU:
-        return static_cast<std::uint64_t>(a) >=
-               static_cast<std::uint64_t>(b);
-      case CmpCond::TRUE_: return true;
-      case CmpCond::FALSE_: return false;
-      default: LBP_PANIC("bad cond");
-    }
-}
-
 CmpCond
 negateCond(CmpCond c)
 {

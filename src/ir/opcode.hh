@@ -109,9 +109,6 @@ UnitClass unitClassOf(Opcode op);
 /** Execution latency in cycles (paper §7 machine description). */
 int latencyOf(Opcode op);
 
-/** Evaluate a comparison condition on two signed 64-bit values. */
-bool evalCond(CmpCond c, std::int64_t a, std::int64_t b);
-
 /** The condition testing the opposite outcome. */
 CmpCond negateCond(CmpCond c);
 

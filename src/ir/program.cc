@@ -1,5 +1,6 @@
 #include "ir/program.hh"
 
+#include "ir/semantics.hh"
 #include "support/logging.hh"
 
 namespace lbp
@@ -61,10 +62,8 @@ Program::peek32(std::int64_t addr) const
 {
     LBP_ASSERT(addr >= 0 &&
                static_cast<size_t>(addr) + 3 < memory.size(), "peek32 oob");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(memory[addr + i]) << (8 * i);
-    return static_cast<std::int32_t>(v);
+    return static_cast<std::int32_t>(
+        loadValue(Opcode::LD_W, memory.data() + addr));
 }
 
 int

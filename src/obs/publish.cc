@@ -87,7 +87,6 @@ publishTraceCacheStats(Registry &r, const TraceCacheStats &s,
     r.counter(prefix + ".builds").set(s.builds);
     r.counter(prefix + ".replays").set(s.replays);
     r.counter(prefix + ".bailouts").set(s.bailouts);
-    r.counter(prefix + ".invalidations").set(s.invalidations);
     r.counter(prefix + ".replayedIterations")
         .set(s.replayedIterations);
     r.counter(prefix + ".replayedOps").set(s.replayedOps);

@@ -37,10 +37,10 @@ void publishSimStats(Registry &r, const SimStats &s,
 
 /**
  * Publish the decoded engine's trace-cache side counters under
- * "<prefix>.{builds,replays,bailouts,invalidations,...}". These live
- * outside SimStats (the reference engine never replays), so they get
- * their own publish path; the per-loop replay split is carried by the
- * loop scorecard instead.
+ * "<prefix>.{builds,replays,bailouts,...}". These live outside
+ * SimStats (the reference engine never replays), so they get their own
+ * publish path; the per-loop replay split is carried by the loop
+ * scorecard instead.
  */
 void publishTraceCacheStats(Registry &r, const TraceCacheStats &s,
                             const std::string &prefix

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 
+#include "ir/semantics.hh"
 #include "obs/prof.hh"
 #include "sim/dispatch.hh"
 #include "sim/vliw_sim.hh"
@@ -28,28 +29,6 @@ namespace lbp
 
 namespace
 {
-
-std::int64_t
-sat16(std::int64_t v)
-{
-    return std::clamp<std::int64_t>(v, -32768, 32767);
-}
-
-double
-asDouble(std::int64_t v)
-{
-    double d;
-    __builtin_memcpy(&d, &v, sizeof(d));
-    return d;
-}
-
-std::int64_t
-asBits(double d)
-{
-    std::int64_t v;
-    __builtin_memcpy(&v, &d, sizeof(v));
-    return v;
-}
 
 /**
  * The loop's own backedge inside its head block: BR_CLOOP/BR_WLOOP
@@ -190,7 +169,6 @@ accumulateTraceCacheStats(TraceCacheStats &into,
     into.builds += from.builds;
     into.replays += from.replays;
     into.bailouts += from.bailouts;
-    into.invalidations += from.invalidations;
     into.replayedIterations += from.replayedIterations;
     into.replayedOps += from.replayedOps;
     into.predReplay.builds += from.predReplay.builds;
@@ -244,16 +222,6 @@ TraceCache::countBailout(int loopId, TraceBailoutReason reason)
     pl.lastReason = reason;
 }
 
-void
-TraceCache::invalidate(int loopId)
-{
-    LoopTrace &tr = traces_[loopId];
-    if (tr.state != LoopTrace::State::Ready)
-        return;
-    tr.state = LoopTrace::State::Stale;
-    ++stats_.invalidations;
-}
-
 LoopTrace &
 TraceCache::acquire(const LoopCtx &ctx, const DecodedFunction &df)
 {
@@ -264,8 +232,6 @@ TraceCache::acquire(const LoopCtx &ctx, const DecodedFunction &df)
     LoopTrace &tr = traces_[ctx.loopId];
     if (tr.state == LoopTrace::State::Unbuilt)
         build(tr, ctx, df);
-    else if (tr.state == LoopTrace::State::Stale)
-        tr.state = LoopTrace::State::Ready;  // O(1): see State::Stale
     return tr;
 }
 
@@ -464,19 +430,6 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
     SlotWrite slotW[2 * Machine::width];
     MemWrite memW[Machine::width];
 
-    auto storeBytes = [&](Opcode op, std::int64_t addr,
-                          std::int64_t v) {
-        const size_t need = op == Opcode::ST_B ? 1
-                            : op == Opcode::ST_H ? 2 : 4;
-        LBP_ASSERT(addr >= 0 && static_cast<size_t>(addr) + need <=
-                                    mem_.size(),
-                   "store fault @", addr);
-        for (size_t k = 0; k < need; ++k) {
-            mem_[addr + k] = static_cast<std::uint8_t>(
-                (v >> (8 * k)) & 0xff);
-        }
-    };
-
     const MicroOp *const opBase = tr.ops.data();
     const TraceBundle *const buBase = tr.bundles.data();
     const std::size_t nBundles = tr.bundles.size();
@@ -511,6 +464,14 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
             }
             const bool direct = tb.direct;
             int nRegW = 0, nPredW = 0, nSlotW = 0, nMemW = 0;
+            // Direct bundles commit in place; the rest defer to the
+            // bundle end like the executor body.
+            auto writeReg = [&](std::int32_t r, std::int64_t v) {
+                if (direct)
+                    regs[r] = v;
+                else
+                    regW[nRegW++] = {r, v};
+            };
 
             for (const MicroOp *m = opBase + tb.first,
                                *const end = m + tb.count;
@@ -561,55 +522,20 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                     auto apply = [&](PredDefKind k,
                                      std::uint8_t dKind,
                                      std::int32_t dIdx) {
-                        if (k == PredDefKind::NONE || dKind == 0)
+                        const int w = predDefWrite(k, g, c);
+                        if (w < 0 || dKind == 0)
                             return;
-                        int w = -1;
-                        switch (k) {
-                          case PredDefKind::UT:
-                            w = g ? (c ? 1 : 0) : 0;
-                            break;
-                          case PredDefKind::UF:
-                            w = g ? (c ? 0 : 1) : 0;
-                            break;
-                          case PredDefKind::OT:
-                            if (g && c) w = 1;
-                            break;
-                          case PredDefKind::OF:
-                            if (g && !c) w = 1;
-                            break;
-                          case PredDefKind::AT:
-                            if (g && !c) w = 0;
-                            break;
-                          case PredDefKind::AF:
-                            if (g && c) w = 0;
-                            break;
-                          case PredDefKind::CT:
-                            if (g) w = c;
-                            break;
-                          case PredDefKind::CF:
-                            if (g) w = !c;
-                            break;
-                          default:
-                            LBP_PANIC("bad def kind");
-                        }
-                        if (w < 0)
-                            return;
+                        const auto v = static_cast<std::uint8_t>(w);
                         if (dKind == 2) {
                             if (direct)
-                                slotPred[dIdx] =
-                                    static_cast<std::uint8_t>(w);
+                                slotPred[dIdx] = v;
                             else
-                                slotW[nSlotW++] =
-                                    {dIdx,
-                                     static_cast<std::uint8_t>(w)};
+                                slotW[nSlotW++] = {dIdx, v};
                         } else {
                             if (direct)
-                                preds[dIdx] =
-                                    static_cast<std::uint8_t>(w);
+                                preds[dIdx] = v;
                             else
-                                predW[nPredW++] =
-                                    {dIdx,
-                                     static_cast<std::uint8_t>(w)};
+                                predW[nPredW++] = {dIdx, v};
                         }
                     };
                     apply(m->k0, m->pdKind0, m->pdIdx0);
@@ -620,36 +546,8 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                   LBP_HANDLER(LOAD) {
                     const std::int64_t addr =
                         readSrc(m->src[0]) + readSrc(m->src[1]);
-                    const size_t need = m->op == Opcode::LD_B ? 1
-                                        : m->op == Opcode::LD_H ? 2
-                                                                : 4;
-                    std::int64_t v = 0;
-                    const bool oob =
-                        addr < 0 ||
-                        static_cast<size_t>(addr) + need >
-                            mem_.size();
-                    if (oob) {
-                        LBP_ASSERT(m->speculative,
-                                   "non-speculative load fault @",
-                                   addr);
-                        v = 0;
-                    } else {
-                        std::uint32_t raw = 0;
-                        for (size_t i = 0; i < need; ++i) {
-                            raw |= static_cast<std::uint32_t>(
-                                       mem_[addr + i])
-                                   << (8 * i);
-                        }
-                        v = m->op == Opcode::LD_B
-                                ? static_cast<std::int8_t>(raw)
-                            : m->op == Opcode::LD_H
-                                ? static_cast<std::int16_t>(raw)
-                                : static_cast<std::int32_t>(raw);
-                    }
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
+                    writeReg(m->dstReg,
+                             loadMem(m->op, addr, m->speculative));
                     LBP_NEXT_OP;
                   }
 
@@ -658,112 +556,42 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                         readSrc(m->src[0]) + readSrc(m->src[1]);
                     const std::int64_t v = readSrc(m->src[2]);
                     if (direct)
-                        storeBytes(m->op, addr, v);
+                        storeMem(m->op, addr, v);
                     else
                         memW[nMemW++] = {m->op, addr, v};
                     LBP_NEXT_OP;
                   }
 
                   LBP_HANDLER(MOV) {
-                    const std::int64_t v = readSrc(m->src[0]);
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
+                    writeReg(m->dstReg, readSrc(m->src[0]));
                     LBP_NEXT_OP;
                   }
                   LBP_HANDLER(ABS) {
-                    const std::int64_t v =
-                        std::abs(readSrc(m->src[0]));
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
+                    writeReg(m->dstReg, evalUnary(Opcode::ABS,
+                                                  readSrc(m->src[0])));
                     LBP_NEXT_OP;
                   }
                   LBP_HANDLER(ITOF) {
-                    const std::int64_t v = asBits(
-                        static_cast<double>(readSrc(m->src[0])));
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
+                    writeReg(m->dstReg, evalUnary(Opcode::ITOF,
+                                                  readSrc(m->src[0])));
                     LBP_NEXT_OP;
                   }
                   LBP_HANDLER(FTOI) {
-                    const std::int64_t v =
-                        static_cast<std::int64_t>(
-                            asDouble(readSrc(m->src[0])));
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
+                    writeReg(m->dstReg, evalUnary(Opcode::FTOI,
+                                                  readSrc(m->src[0])));
                     LBP_NEXT_OP;
                   }
                   LBP_HANDLER(SELECT) {
                     const std::int64_t c = readSrc(m->src[0]);
-                    const std::int64_t v = c ? readSrc(m->src[1])
-                                             : readSrc(m->src[2]);
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
+                    writeReg(m->dstReg, c ? readSrc(m->src[1])
+                                          : readSrc(m->src[2]));
                     LBP_NEXT_OP;
                   }
 
                   LBP_HANDLER(ALU) {
                     const std::int64_t a = readSrc(m->src[0]);
                     const std::int64_t b = readSrc(m->src[1]);
-                    std::int64_t v = 0;
-                    switch (m->op) {
-                      case Opcode::ADD: v = a + b; break;
-                      case Opcode::SUB: v = a - b; break;
-                      case Opcode::MUL: v = a * b; break;
-                      case Opcode::DIV:
-                        LBP_ASSERT(b != 0, "div by zero");
-                        v = a / b;
-                        break;
-                      case Opcode::REM:
-                        LBP_ASSERT(b != 0, "rem by zero");
-                        v = a % b;
-                        break;
-                      case Opcode::AND: v = a & b; break;
-                      case Opcode::OR: v = a | b; break;
-                      case Opcode::XOR: v = a ^ b; break;
-                      case Opcode::SHL: v = a << (b & 63); break;
-                      case Opcode::SHR:
-                        v = static_cast<std::int64_t>(
-                            static_cast<std::uint64_t>(a) >>
-                            (b & 63));
-                        break;
-                      case Opcode::SHRA: v = a >> (b & 63); break;
-                      case Opcode::MIN: v = std::min(a, b); break;
-                      case Opcode::MAX: v = std::max(a, b); break;
-                      case Opcode::SATADD: v = sat16(a + b); break;
-                      case Opcode::SATSUB: v = sat16(a - b); break;
-                      case Opcode::CMP:
-                        v = evalCond(m->cond, a, b) ? 1 : 0;
-                        break;
-                      case Opcode::FADD:
-                        v = asBits(asDouble(a) + asDouble(b));
-                        break;
-                      case Opcode::FSUB:
-                        v = asBits(asDouble(a) - asDouble(b));
-                        break;
-                      case Opcode::FMUL:
-                        v = asBits(asDouble(a) * asDouble(b));
-                        break;
-                      case Opcode::FDIV:
-                        v = asBits(asDouble(a) / asDouble(b));
-                        break;
-                      default:
-                        LBP_PANIC("unhandled opcode in replay: ",
-                                  opcodeName(m->op));
-                    }
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
+                    writeReg(m->dstReg, evalBinary(m->op, m->cond, a, b));
                     LBP_NEXT_OP;
                   }
 
@@ -861,7 +689,7 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                     slotPred[slotW[i].s] = slotW[i].v;
                 }
                 for (int i = 0; i < nMemW; ++i)
-                    storeBytes(memW[i].op, memW[i].addr, memW[i].v);
+                    storeMem(memW[i].op, memW[i].addr, memW[i].v);
             }
         }
     };

@@ -65,10 +65,10 @@ namespace lbp
  *
  * None is the build verdict "traceable" and never counts as a bailout.
  * Unknown is the defensive fallback; nothing in the tree produces it
- * (the all-workloads trace-cache test asserts it stays zero). Stale is
- * deliberately NOT a reason: an evicted trace revalidates O(1) at the
- * next residency and replays (see LoopTrace::State::Stale), so
- * staleness never declines an activation.
+ * (the all-workloads trace-cache test asserts it stays zero). Buffer
+ * eviction is deliberately NOT a reason: trace content is
+ * allocation-invariant, so a built trace replays again at the loop's
+ * next residency.
  */
 enum class TraceBailoutReason : std::uint8_t
 {
@@ -97,10 +97,9 @@ const char *traceBailoutReasonName(TraceBailoutReason r);
  */
 struct TraceCacheStats
 {
-    std::uint64_t builds = 0;        ///< traces built (incl. rebuilds)
+    std::uint64_t builds = 0;        ///< traces built
     std::uint64_t replays = 0;       ///< engagements
     std::uint64_t bailouts = 0;      ///< activations declined
-    std::uint64_t invalidations = 0; ///< traces dropped on image eviction
     std::uint64_t replayedIterations = 0;
     std::uint64_t replayedOps = 0;   ///< ops issued from traces
 
@@ -177,17 +176,12 @@ struct LoopTrace
     enum class State : std::uint8_t
     {
         Unbuilt,
-        Ready,
         /**
-         * The loop buffer evicted the image this trace models. Trace
-         * content is allocation-invariant (REC/EXEC ops — the only
-         * bufAddr carriers — never survive the build gating), so
-         * revalidation at the next residency is O(1); the state
-         * exists so any future allocation-dependent trace content
-         * has a correct hook, and so eviction-heavy workloads do not
-         * pay a full rebuild per activation.
+         * Built. Stays valid across buffer evictions: trace content
+         * is allocation-invariant (REC/EXEC ops — the only bufAddr
+         * carriers — never survive the build gating).
          */
-        Stale,
+        Ready,
         Untraceable,
     };
     State state = State::Unbuilt;
@@ -254,13 +248,6 @@ class TraceCache
      * falls back (countBailout once per activation).
      */
     LoopTrace &acquire(const LoopCtx &ctx, const DecodedFunction &df);
-
-    /**
-     * Mark @p loopId's built trace Stale because the loop buffer
-     * evicted its image. Untraceable verdicts are static and survive
-     * (a rebuild would re-derive them).
-     */
-    void invalidate(int loopId);
 
     /**
      * Count one declined activation of @p loopId for @p reason —

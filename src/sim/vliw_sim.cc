@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "ir/interpreter.hh"
+#include "ir/semantics.hh"
 #include "obs/prof.hh"
 #include "obs/trace.hh"
 #include "sim/decoded.hh"
@@ -65,28 +66,6 @@ replayMinItersResolved(const SimConfig &cfg)
             return static_cast<std::int64_t>(v);
     }
     return cfg.replayMinIters;
-}
-
-std::int64_t
-sat16(std::int64_t v)
-{
-    return std::clamp<std::int64_t>(v, -32768, 32767);
-}
-
-double
-asDouble(std::int64_t v)
-{
-    double d;
-    __builtin_memcpy(&d, &v, sizeof(d));
-    return d;
-}
-
-std::int64_t
-asBits(double d)
-{
-    std::int64_t v;
-    __builtin_memcpy(&v, &d, sizeof(v));
-    return v;
 }
 
 } // namespace
@@ -401,22 +380,7 @@ VliwSim::callFunction(FuncId f, const std::vector<std::int64_t> &args)
                 const std::int64_t b = readOperand(fr, op.srcs[1]);
                 const bool c = evalCond(op.cond, a, b);
                 auto apply = [&](PredDefKind k, const Operand &dst) {
-                    if (k == PredDefKind::NONE)
-                        return;
-                    int w = -1;
-                    switch (k) {
-                      case PredDefKind::UT: w = g ? (c ? 1 : 0) : 0;
-                        break;
-                      case PredDefKind::UF: w = g ? (c ? 0 : 1) : 0;
-                        break;
-                      case PredDefKind::OT: if (g && c) w = 1; break;
-                      case PredDefKind::OF: if (g && !c) w = 1; break;
-                      case PredDefKind::AT: if (g && !c) w = 0; break;
-                      case PredDefKind::AF: if (g && c) w = 0; break;
-                      case PredDefKind::CT: if (g) w = c; break;
-                      case PredDefKind::CF: if (g) w = !c; break;
-                      default: LBP_PANIC("bad def kind");
-                    }
+                    const int w = predDefWrite(k, g, c);
                     if (w < 0)
                         return;
                     if (dst.isSlot()) {
@@ -441,29 +405,9 @@ VliwSim::callFunction(FuncId f, const std::vector<std::int64_t> &args)
                 const std::int64_t addr =
                     readOperand(fr, op.srcs[0]) +
                     readOperand(fr, op.srcs[1]);
-                const size_t need = op.op == Opcode::LD_B ? 1
-                                    : op.op == Opcode::LD_H ? 2 : 4;
-                std::int64_t v = 0;
-                const bool oob =
-                    addr < 0 ||
-                    static_cast<size_t>(addr) + need > mem_.size();
-                if (oob) {
-                    LBP_ASSERT(op.speculative,
-                               "non-speculative load fault @", addr);
-                    v = 0;
-                } else {
-                    std::uint32_t raw = 0;
-                    for (size_t i = 0; i < need; ++i) {
-                        raw |= static_cast<std::uint32_t>(
-                                   mem_[addr + i]) << (8 * i);
-                    }
-                    v = op.op == Opcode::LD_B
-                            ? static_cast<std::int8_t>(raw)
-                        : op.op == Opcode::LD_H
-                            ? static_cast<std::int16_t>(raw)
-                            : static_cast<std::int32_t>(raw);
-                }
-                regWrites.push_back({op.dsts[0].asReg(), v});
+                regWrites.push_back(
+                    {op.dsts[0].asReg(),
+                     loadMem(op.op, addr, op.speculative)});
                 break;
               }
 
@@ -479,25 +423,12 @@ VliwSim::callFunction(FuncId f, const std::vector<std::int64_t> &args)
               }
 
               case Opcode::MOV:
-                regWrites.push_back({op.dsts[0].asReg(),
-                                     readOperand(fr, op.srcs[0])});
-                break;
               case Opcode::ABS:
-                regWrites.push_back(
-                    {op.dsts[0].asReg(),
-                     std::abs(readOperand(fr, op.srcs[0]))});
-                break;
               case Opcode::ITOF:
-                regWrites.push_back(
-                    {op.dsts[0].asReg(),
-                     asBits(static_cast<double>(
-                         readOperand(fr, op.srcs[0])))});
-                break;
               case Opcode::FTOI:
                 regWrites.push_back(
                     {op.dsts[0].asReg(),
-                     static_cast<std::int64_t>(
-                         asDouble(readOperand(fr, op.srcs[0])))});
+                     evalUnary(op.op, readOperand(fr, op.srcs[0]))});
                 break;
               case Opcode::SELECT: {
                 const std::int64_t c = readOperand(fr, op.srcs[0]);
@@ -700,52 +631,8 @@ VliwSim::callFunction(FuncId f, const std::vector<std::int64_t> &args)
                 // Binary ALU family.
                 const std::int64_t a = readOperand(fr, op.srcs[0]);
                 const std::int64_t b = readOperand(fr, op.srcs[1]);
-                std::int64_t v = 0;
-                switch (op.op) {
-                  case Opcode::ADD: v = a + b; break;
-                  case Opcode::SUB: v = a - b; break;
-                  case Opcode::MUL: v = a * b; break;
-                  case Opcode::DIV:
-                    LBP_ASSERT(b != 0, "div by zero");
-                    v = a / b;
-                    break;
-                  case Opcode::REM:
-                    LBP_ASSERT(b != 0, "rem by zero");
-                    v = a % b;
-                    break;
-                  case Opcode::AND: v = a & b; break;
-                  case Opcode::OR: v = a | b; break;
-                  case Opcode::XOR: v = a ^ b; break;
-                  case Opcode::SHL: v = a << (b & 63); break;
-                  case Opcode::SHR:
-                    v = static_cast<std::int64_t>(
-                        static_cast<std::uint64_t>(a) >> (b & 63));
-                    break;
-                  case Opcode::SHRA: v = a >> (b & 63); break;
-                  case Opcode::MIN: v = std::min(a, b); break;
-                  case Opcode::MAX: v = std::max(a, b); break;
-                  case Opcode::SATADD: v = sat16(a + b); break;
-                  case Opcode::SATSUB: v = sat16(a - b); break;
-                  case Opcode::CMP:
-                    v = evalCond(op.cond, a, b) ? 1 : 0;
-                    break;
-                  case Opcode::FADD:
-                    v = asBits(asDouble(a) + asDouble(b));
-                    break;
-                  case Opcode::FSUB:
-                    v = asBits(asDouble(a) - asDouble(b));
-                    break;
-                  case Opcode::FMUL:
-                    v = asBits(asDouble(a) * asDouble(b));
-                    break;
-                  case Opcode::FDIV:
-                    v = asBits(asDouble(a) / asDouble(b));
-                    break;
-                  default:
-                    LBP_PANIC("unhandled opcode in sim: ",
-                              opcodeName(op.op));
-                }
-                regWrites.push_back({op.dsts[0].asReg(), v});
+                regWrites.push_back({op.dsts[0].asReg(),
+                                     evalBinary(op.op, op.cond, a, b)});
                 break;
               }
             }
@@ -765,18 +652,8 @@ VliwSim::callFunction(FuncId f, const std::vector<std::int64_t> &args)
             }
             slotPred_[slotWrites[i].s] = slotWrites[i].v;
         }
-        for (const auto &w : memWrites) {
-            const size_t need = w.op == Opcode::ST_B ? 1
-                                : w.op == Opcode::ST_H ? 2 : 4;
-            LBP_ASSERT(w.addr >= 0 &&
-                           static_cast<size_t>(w.addr) + need <=
-                               mem_.size(),
-                       "store fault @", w.addr);
-            for (size_t i = 0; i < need; ++i) {
-                mem_[w.addr + i] = static_cast<std::uint8_t>(
-                    (w.v >> (8 * i)) & 0xff);
-            }
-        }
+        for (const auto &w : memWrites)
+            storeMem(w.op, w.addr, w.v);
 
         // Call/return (serialize: the call is the bundle's transfer).
         if (retOp) {

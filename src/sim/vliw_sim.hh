@@ -30,6 +30,7 @@
 #include <memory>
 #include <vector>
 
+#include "ir/semantics.hh"
 #include "obs/cycle_stack.hh"
 #include "sched/schedule.hh"
 #include "sim/loop_buffer.hh"
@@ -425,6 +426,31 @@ class VliwSim
         cycleStack_.charge(
             loopRow, cls,
             static_cast<std::uint64_t>(cfg_.branchPenalty));
+    }
+
+    /**
+     * The memory fault policy shared by both engines and trace
+     * replay: an out-of-range load faults unless it is speculative
+     * (then it reads 0); an out-of-range store always faults.
+     */
+    [[gnu::always_inline]] std::int64_t
+    loadMem(Opcode op, std::int64_t addr, bool speculative) const
+    {
+        if (addr < 0 ||
+            static_cast<std::size_t>(addr) + memWidth(op) > mem_.size()) {
+            LBP_ASSERT(speculative, "non-speculative load fault @", addr);
+            return 0;
+        }
+        return loadValue(op, mem_.data() + addr);
+    }
+
+    [[gnu::always_inline]] void
+    storeMem(Opcode op, std::int64_t addr, std::int64_t v)
+    {
+        LBP_ASSERT(addr >= 0 && static_cast<std::size_t>(addr) +
+                                        memWidth(op) <= mem_.size(),
+                   "store fault @", addr);
+        storeValue(op, mem_.data() + addr, v);
     }
 
     /**

@@ -30,8 +30,7 @@
 #ifndef LBP_SIM_VLIW_SIM_DECODED_BODY_HH
 #define LBP_SIM_VLIW_SIM_DECODED_BODY_HH
 
-#include <algorithm>
-
+#include "ir/semantics.hh"
 #include "obs/prof.hh"
 #include "obs/trace.hh"
 #include "sim/decoded.hh"
@@ -42,33 +41,6 @@
 
 namespace lbp
 {
-
-namespace
-{
-
-std::int64_t
-sat16(std::int64_t v)
-{
-    return std::clamp<std::int64_t>(v, -32768, 32767);
-}
-
-double
-asDouble(std::int64_t v)
-{
-    double d;
-    __builtin_memcpy(&d, &v, sizeof(d));
-    return d;
-}
-
-std::int64_t
-asBits(double d)
-{
-    std::int64_t v;
-    __builtin_memcpy(&v, &d, sizeof(v));
-    return v;
-}
-
-} // namespace
 
 /**
  * Trace emission for the templated executor: compiles to nothing in
@@ -399,23 +371,8 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
                 const bool c = evalCond(m->cond, a, b);
                 auto apply = [&](PredDefKind k, std::uint8_t dKind,
                                  std::int32_t dIdx) {
-                    if (k == PredDefKind::NONE || dKind == 0)
-                        return;
-                    int w = -1;
-                    switch (k) {
-                      case PredDefKind::UT: w = g ? (c ? 1 : 0) : 0;
-                        break;
-                      case PredDefKind::UF: w = g ? (c ? 0 : 1) : 0;
-                        break;
-                      case PredDefKind::OT: if (g && c) w = 1; break;
-                      case PredDefKind::OF: if (g && !c) w = 1; break;
-                      case PredDefKind::AT: if (g && !c) w = 0; break;
-                      case PredDefKind::AF: if (g && c) w = 0; break;
-                      case PredDefKind::CT: if (g) w = c; break;
-                      case PredDefKind::CF: if (g) w = !c; break;
-                      default: LBP_PANIC("bad def kind");
-                    }
-                    if (w < 0)
+                    const int w = predDefWrite(k, g, c);
+                    if (w < 0 || dKind == 0)
                         return;
                     if (dKind == 2) {
                         slotW[nSlotW++] =
@@ -433,29 +390,8 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
               LBP_HANDLER(LOAD) {
                 const std::int64_t addr =
                     readSrc(m->src[0]) + readSrc(m->src[1]);
-                const size_t need = m->op == Opcode::LD_B ? 1
-                                    : m->op == Opcode::LD_H ? 2 : 4;
-                std::int64_t v = 0;
-                const bool oob =
-                    addr < 0 ||
-                    static_cast<size_t>(addr) + need > mem_.size();
-                if (oob) {
-                    LBP_ASSERT(m->speculative,
-                               "non-speculative load fault @", addr);
-                    v = 0;
-                } else {
-                    std::uint32_t raw = 0;
-                    for (size_t i = 0; i < need; ++i) {
-                        raw |= static_cast<std::uint32_t>(
-                                   mem_[addr + i]) << (8 * i);
-                    }
-                    v = m->op == Opcode::LD_B
-                            ? static_cast<std::int8_t>(raw)
-                        : m->op == Opcode::LD_H
-                            ? static_cast<std::int16_t>(raw)
-                            : static_cast<std::int32_t>(raw);
-                }
-                regW[nRegW++] = {m->dstReg, v};
+                regW[nRegW++] = {m->dstReg,
+                                 loadMem(m->op, addr, m->speculative)};
                 LBP_NEXT_OP;
               }
 
@@ -471,20 +407,18 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
                 LBP_NEXT_OP;
               }
               LBP_HANDLER(ABS) {
-                regW[nRegW++] = {m->dstReg,
-                                 std::abs(readSrc(m->src[0]))};
+                regW[nRegW++] = {m->dstReg, evalUnary(Opcode::ABS,
+                                                      readSrc(m->src[0]))};
                 LBP_NEXT_OP;
               }
               LBP_HANDLER(ITOF) {
-                regW[nRegW++] = {m->dstReg,
-                                 asBits(static_cast<double>(
-                                     readSrc(m->src[0])))};
+                regW[nRegW++] = {m->dstReg, evalUnary(Opcode::ITOF,
+                                                      readSrc(m->src[0]))};
                 LBP_NEXT_OP;
               }
               LBP_HANDLER(FTOI) {
-                regW[nRegW++] = {m->dstReg,
-                                 static_cast<std::int64_t>(
-                                     asDouble(readSrc(m->src[0])))};
+                regW[nRegW++] = {m->dstReg, evalUnary(Opcode::FTOI,
+                                                      readSrc(m->src[0]))};
                 LBP_NEXT_OP;
               }
               LBP_HANDLER(SELECT) {
@@ -628,14 +562,8 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
                     } else {
                         buffer_.record(ctx.key, m->bufAddr,
                                        m->imageOps, &evictedKeys);
-                        for (const LoopKey &ek : evictedKeys) {
-                            const int eid = loopTable_->idOf(ek);
-                            ++stats_.loops[eid].evictions;
-                            // A replay trace cannot outlive the
-                            // buffer image it models.
-                            if (traceCache_)
-                                traceCache_->invalidate(eid);
-                        }
+                        for (const LoopKey &ek : evictedKeys)
+                            ++stats_.loops[loopTable_->idOf(ek)].evictions;
                         ++ls.recordings;
                         ctx.fromBuffer = false;
                         recorded = true;
@@ -680,52 +608,8 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
                 // Binary ALU family.
                 const std::int64_t a = readSrc(m->src[0]);
                 const std::int64_t b = readSrc(m->src[1]);
-                std::int64_t v = 0;
-                switch (m->op) {
-                  case Opcode::ADD: v = a + b; break;
-                  case Opcode::SUB: v = a - b; break;
-                  case Opcode::MUL: v = a * b; break;
-                  case Opcode::DIV:
-                    LBP_ASSERT(b != 0, "div by zero");
-                    v = a / b;
-                    break;
-                  case Opcode::REM:
-                    LBP_ASSERT(b != 0, "rem by zero");
-                    v = a % b;
-                    break;
-                  case Opcode::AND: v = a & b; break;
-                  case Opcode::OR: v = a | b; break;
-                  case Opcode::XOR: v = a ^ b; break;
-                  case Opcode::SHL: v = a << (b & 63); break;
-                  case Opcode::SHR:
-                    v = static_cast<std::int64_t>(
-                        static_cast<std::uint64_t>(a) >> (b & 63));
-                    break;
-                  case Opcode::SHRA: v = a >> (b & 63); break;
-                  case Opcode::MIN: v = std::min(a, b); break;
-                  case Opcode::MAX: v = std::max(a, b); break;
-                  case Opcode::SATADD: v = sat16(a + b); break;
-                  case Opcode::SATSUB: v = sat16(a - b); break;
-                  case Opcode::CMP:
-                    v = evalCond(m->cond, a, b) ? 1 : 0;
-                    break;
-                  case Opcode::FADD:
-                    v = asBits(asDouble(a) + asDouble(b));
-                    break;
-                  case Opcode::FSUB:
-                    v = asBits(asDouble(a) - asDouble(b));
-                    break;
-                  case Opcode::FMUL:
-                    v = asBits(asDouble(a) * asDouble(b));
-                    break;
-                  case Opcode::FDIV:
-                    v = asBits(asDouble(a) / asDouble(b));
-                    break;
-                  default:
-                    LBP_PANIC("unhandled opcode in decoded sim: ",
-                              opcodeName(m->op));
-                }
-                regW[nRegW++] = {m->dstReg, v};
+                regW[nRegW++] = {m->dstReg,
+                                 evalBinary(m->op, m->cond, a, b)};
                 LBP_NEXT_OP;
               }
               LBP_BAD_HANDLER();
@@ -755,19 +639,8 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
             }
             slotPred_[slotW[i].s] = slotW[i].v;
         }
-        for (int i = 0; i < nMemW; ++i) {
-            const MemWrite &w = memW[i];
-            const size_t need = w.op == Opcode::ST_B ? 1
-                                : w.op == Opcode::ST_H ? 2 : 4;
-            LBP_ASSERT(w.addr >= 0 &&
-                           static_cast<size_t>(w.addr) + need <=
-                               mem_.size(),
-                       "store fault @", w.addr);
-            for (size_t k = 0; k < need; ++k) {
-                mem_[w.addr + k] = static_cast<std::uint8_t>(
-                    (w.v >> (8 * k)) & 0xff);
-            }
-        }
+        for (int i = 0; i < nMemW; ++i)
+            storeMem(memW[i].op, memW[i].addr, memW[i].v);
 
         // Call/return (serialize: the call is the bundle's transfer).
         if (retOp) {

@@ -1,10 +1,9 @@
 #include "transform/classic_opts.hh"
 
-#include <algorithm>
 #include <map>
 
 #include "analysis/liveness.hh"
-#include "ir/interpreter.hh"
+#include "ir/semantics.hh"
 #include "support/logging.hh"
 
 namespace lbp
@@ -48,35 +47,8 @@ foldOp(Operation &op, int &folded)
         if (!s.isImm())
             return false;
 
-    const std::int64_t a = op.srcs[0].value;
-    const std::int64_t b = op.srcs[1].value;
-    std::int64_t v = 0;
-    switch (op.op) {
-      case Opcode::ADD: v = a + b; break;
-      case Opcode::SUB: v = a - b; break;
-      case Opcode::MUL: v = a * b; break;
-      case Opcode::DIV: v = a / b; break;
-      case Opcode::REM: v = a % b; break;
-      case Opcode::AND: v = a & b; break;
-      case Opcode::OR: v = a | b; break;
-      case Opcode::XOR: v = a ^ b; break;
-      case Opcode::SHL: v = a << (b & 63); break;
-      case Opcode::SHR:
-        v = static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >>
-                                      (b & 63));
-        break;
-      case Opcode::SHRA: v = a >> (b & 63); break;
-      case Opcode::MIN: v = std::min(a, b); break;
-      case Opcode::MAX: v = std::max(a, b); break;
-      case Opcode::SATADD:
-        v = std::clamp<std::int64_t>(a + b, -32768, 32767);
-        break;
-      case Opcode::SATSUB:
-        v = std::clamp<std::int64_t>(a - b, -32768, 32767);
-        break;
-      case Opcode::CMP: v = evalCond(op.cond, a, b) ? 1 : 0; break;
-      default: return false;
-    }
+    const std::int64_t v = evalBinary(op.op, op.cond, op.srcs[0].value,
+                                      op.srcs[1].value);
     const RegId dst = op.dsts[0].asReg();
     const PredId guard = op.guard;
     const OpId id = op.id;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/builder.hh"
 #include "ir/interpreter.hh"
 #include "support/random.hh"
@@ -71,6 +73,29 @@ TEST(ClassicOpts, DivByZeroNotFolded)
     b.ret({R(d)});
     auto st = constantFold(prog.functions[f]);
     EXPECT_EQ(st.folded, 0);
+}
+
+TEST(ClassicOpts, Int64MinDivByMinusOneFoldsToRuntimeValue)
+{
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    Program prog;
+    const FuncId f = prog.newFunction("main");
+    prog.entryFunc = f;
+    IRBuilder b(prog, f);
+    const RegId q = b.div(I(kMin), I(-1));
+    const RegId r = b.rem(I(kMin), I(-1));
+    b.ret({R(q), R(r)});
+    const auto runtime = Interpreter(prog).run().returns;
+    EXPECT_EQ(runtime, (std::vector<std::int64_t>{kMin, 0}));
+
+    auto st = constantFold(prog.functions[f]);
+    EXPECT_EQ(st.folded, 2);
+    const auto &ops =
+        prog.functions[f].blocks[prog.functions[f].entry].ops;
+    ASSERT_EQ(ops[0].op, Opcode::MOV);
+    ASSERT_EQ(ops[1].op, Opcode::MOV);
+    EXPECT_EQ(ops[0].srcs[0].value, runtime[0]);
+    EXPECT_EQ(ops[1].srcs[0].value, runtime[1]);
 }
 
 TEST(ClassicOpts, DeadCodeRemoved)

@@ -9,6 +9,7 @@
 
 #include "ir/builder.hh"
 #include "ir/interpreter.hh"
+#include "ir/semantics.hh"
 
 namespace lbp
 {
@@ -70,6 +71,32 @@ TEST(Interp, MemoryByteHalfWord)
     const RegId s2 = b.add(Operand::reg(s1), Operand::reg(by));
     b.ret({Operand::reg(s2)});
     EXPECT_EQ(runReturn(prog), -2 + -2 + -2);
+
+    // Width edges: loads sign-extend from their top bit, stores keep
+    // only their low bytes — in the codec and through the ops.
+    const std::uint8_t b80[] = {0x80, 0x00, 0x00, 0x00};
+    const std::uint8_t h8000[] = {0x00, 0x80, 0x00, 0x00};
+    EXPECT_EQ(loadValue(Opcode::LD_B, b80), -128);
+    EXPECT_EQ(loadValue(Opcode::LD_H, h8000), -32768);
+    std::uint8_t buf[3] = {0xaa, 0xaa, 0xaa};
+    storeValue(Opcode::ST_H, buf, 0x123456789abcdef0LL);
+    EXPECT_EQ(buf[0], 0xf0);
+    EXPECT_EQ(buf[1], 0xde);
+    EXPECT_EQ(buf[2], 0xaa);
+    Program edges;
+    const auto eb = edges.allocData(8);
+    const FuncId ef = edges.newFunction("main");
+    edges.entryFunc = ef;
+    IRBuilder e(edges, ef);
+    const Operand ep = Operand::reg(e.iconst(eb));
+    e.storeB(ep, I(0), I(0x180));
+    e.storeH(ep, I(2), I(0x18000));
+    const RegId lb = e.loadB(ep, I(0));
+    const RegId next = e.loadB(ep, I(1));
+    const RegId lh = e.loadH(ep, I(2));
+    e.ret({Operand::reg(lb), Operand::reg(next), Operand::reg(lh)});
+    EXPECT_EQ(Interpreter(edges).run().returns,
+              (std::vector<std::int64_t>{-128, 0, -32768}));
 }
 
 TEST(Interp, GuardNullifies)
@@ -152,6 +179,8 @@ TEST_P(Table2Test, Semantics)
     b.ret({Operand::reg(after1), Operand::reg(after0)});
     Interpreter interp(prog);
     auto r = interp.run();
+    // The shared truth table the interpreter just executed.
+    EXPECT_EQ(predDefWrite(tc.kind, tc.guard, tc.cond), tc.expect);
     ASSERT_EQ(r.returns.size(), 2u);
     if (tc.expect < 0) {
         // No update: both sentinels survive.

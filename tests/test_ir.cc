@@ -8,6 +8,7 @@
 
 #include "ir/builder.hh"
 #include "ir/printer.hh"
+#include "ir/semantics.hh"
 #include "ir/verifier.hh"
 
 namespace lbp

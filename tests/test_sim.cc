@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <limits>
+#include <sstream>
+
 #include "core/compiler.hh"
 #include "ir/interpreter.hh"
 #include "ir/builder.hh"
+#include "ir/serialize.hh"
+#include "sim/trace_cache.hh"
 #include "sim/vliw_sim.hh"
 
 namespace lbp
@@ -173,6 +179,56 @@ TEST(Sim, PipelinedTimingUsesII)
     // 500*len.
     EXPECT_LT(st.cycles, static_cast<std::uint64_t>(500) * len);
     EXPECT_GE(st.cycles, static_cast<std::uint64_t>(499) * ii);
+}
+
+TEST(Sim, DivInt64MinRepro)
+{
+    std::ifstream in(LBP_REPRO_DIR "/div_int64_min.lbp");
+    ASSERT_TRUE(in) << "missing repro " LBP_REPRO_DIR;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const Program prog = parseText(text.str());
+
+    // Run-time quotient, sum of run-time remainders, folded quotient;
+    // the checksummed words are those values' low and high halves.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    const std::vector<std::int64_t> want = {kMin, 0, kMin};
+    const std::uint8_t image[24] = {0, 0, 0, 0, 0, 0, 0, 0x80,
+                                    0, 0, 0, 0, 0, 0, 0, 0,
+                                    0, 0, 0, 0, 0, 0, 0, 0x80};
+    const std::uint64_t wantChecksum = fnv1a(image, sizeof image);
+
+    const ExecResult ir = Interpreter(prog).run();
+    EXPECT_EQ(ir.returns, want);
+    EXPECT_EQ(ir.checksum, wantChecksum);
+
+    for (OptLevel lvl : {OptLevel::Traditional, OptLevel::Aggressive}) {
+        CompileOptions opts;
+        opts.level = lvl;
+        CompileResult cr;
+        compileProgram(prog, opts, cr);
+        EXPECT_EQ(cr.goldenChecksum, wantChecksum);
+        struct Engine { SimEngine engine; TraceCacheMode cache; };
+        for (const Engine e : {Engine{SimEngine::REFERENCE,
+                                      TraceCacheMode::Off},
+                               Engine{SimEngine::DECODED,
+                                      TraceCacheMode::On},
+                               Engine{SimEngine::DECODED,
+                                      TraceCacheMode::Off}}) {
+            SimConfig sc;
+            sc.engine = e.engine;
+            sc.traceCache = e.cache;
+            VliwSim sim(cr.code, sc);
+            const SimStats st = sim.run();
+            EXPECT_EQ(st.returns, want);
+            EXPECT_EQ(st.checksum, wantChecksum);
+            // The cached run must divide inside a replayed trace.
+            if (e.cache == TraceCacheMode::On) {
+                ASSERT_NE(sim.traceCacheStats(), nullptr);
+                EXPECT_GT(sim.traceCacheStats()->replays, 0u);
+            }
+        }
+    }
 }
 
 TEST(Sim, NullifiedOpsStillFetched)

@@ -3,7 +3,7 @@
  * Resident-loop trace cache tests: traces are built exactly once at
  * first replayed residency and persist across runs, untraceable
  * bodies bail out to the general path (once per activation), buffer
- * evictions invalidate without triggering rebuild storms, and —
+ * evictions never trigger a rebuild, and —
  * the contract everything else rests on — SimStats is bit-identical
  * with the cache forced on, forced off, and against the reference
  * interpreter, down to the per-loop counter vectors.
@@ -650,7 +650,7 @@ TEST(TraceCache, SideExitTakenBailsBackToDispatchWithoutDivergence)
                     .empty());
 }
 
-TEST(TraceCache, EvictionInvalidatesWithoutRebuildStorm)
+TEST(TraceCache, EvictionDoesNotRebuildTraces)
 {
     Program prog = workloads::buildWorkload("g724_dec");
     CompileOptions opts;
@@ -661,17 +661,29 @@ TEST(TraceCache, EvictionInvalidatesWithoutRebuildStorm)
 
     VliwSim sim(cr.code, simConfig(256, SimEngine::DECODED,
                                    TraceCacheMode::On));
-    sim.run();
+    const SimStats st = sim.run();
     const TraceCacheStats &tc = statsOf(sim);
-    EXPECT_GT(tc.invalidations, 0u);
     EXPECT_GT(tc.replays, 0u);
 
-    // Invalidation marks a trace Stale; revalidation at the next
-    // residency is O(1) because trace content is allocation-invariant.
-    // A full rebuild per eviction would show builds on the order of
-    // invalidations + replays; distinct traceable loops only is the
-    // correct order of magnitude.
-    EXPECT_LT(tc.builds, tc.invalidations);
+    // Trace content is allocation-invariant, so a trace built once
+    // replays again after its loop's image is evicted and re-recorded:
+    // builds stay at one per traceable loop however often the buffer
+    // evicts.
+    std::uint64_t evictions = 0;
+    std::uint64_t replayedLoops = 0;
+    bool evictedLoopReplaysAgain = false;
+    for (std::size_t id = 0; id < st.loops.size(); ++id) {
+        evictions += st.loops[id].evictions;
+        if (tc.perLoop[id].replays == 0)
+            continue;
+        ++replayedLoops;
+        if (st.loops[id].evictions > 0 && tc.perLoop[id].replays > 1)
+            evictedLoopReplaysAgain = true;
+    }
+    EXPECT_GT(evictions, 0u);
+    EXPECT_TRUE(evictedLoopReplaysAgain);
+    EXPECT_LE(tc.builds, replayedLoops);
+    EXPECT_LT(tc.builds, evictions);
 }
 
 TEST(TraceCache, StatsBitIdenticalOnOffAndReference)
