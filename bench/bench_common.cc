@@ -6,17 +6,14 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <tuple>
 
-#include "obs/history.hh"
 #include "obs/loop_report.hh"
 #include "obs/prof.hh"
 #include "obs/trace.hh"
 #include "obs/version.hh"
-#include "sim/decoded.hh"
 #include "sim/dispatch.hh"
 #include "support/logging.hh"
 
@@ -26,63 +23,30 @@ namespace bench
 {
 
 bool
-parseBenchOptions(int argc, char **argv, unsigned mask,
+parseBenchOptions(int argc, char **argv,
                   const std::string &defaultJsonPath,
                   BenchOptions &o)
 {
     o.jsonPath = defaultJsonPath;
-    auto usage = [&]() {
-        std::string u = "usage: ";
-        u += argv[0];
-        if (mask & kBenchFlagQuick)
-            u += " [--quick]";
-        if (mask & kBenchFlagJson)
-            u += " [--json[=PATH]]";
-        if (mask & kBenchFlagHistory)
-            u += " [--history[=PATH]]";
-        if (mask & kBenchFlagLoops)
-            u += " [--loops]";
-        if (mask & kBenchFlagThreads)
-            u += " [--threads=N]";
-        if (mask & kBenchFlagProf)
-            u += " [--prof]";
-        if (mask & kBenchFlagPmu)
-            u += " [--pmu]";
-        std::fprintf(stderr, "%s\n", u.c_str());
-        return false;
-    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if ((mask & kBenchFlagQuick) && arg == "--quick") {
-            o.quick = true;
-        } else if ((mask & kBenchFlagJson) && arg == "--json") {
+        if (arg == "--json") {
             o.json = true;
-        } else if ((mask & kBenchFlagJson) &&
-                   arg.rfind("--json=", 0) == 0) {
+        } else if (arg.rfind("--json=", 0) == 0) {
             o.json = true;
             o.jsonPath = arg.substr(7);
-        } else if ((mask & kBenchFlagHistory) &&
-                   arg == "--history") {
-            o.historyPath = "BENCH_history.jsonl";
-        } else if ((mask & kBenchFlagHistory) &&
-                   arg.rfind("--history=", 0) == 0) {
-            o.historyPath = arg.substr(10);
-        } else if ((mask & kBenchFlagLoops) && arg == "--loops") {
+        } else if (arg == "--loops") {
             o.loops = true;
-        } else if ((mask & kBenchFlagThreads) &&
-                   arg.rfind("--threads=", 0) == 0) {
-            o.threads = std::atoi(arg.c_str() + 10);
-        } else if ((mask & kBenchFlagProf) && arg == "--prof") {
-            o.prof = true;
-        } else if ((mask & kBenchFlagPmu) && arg == "--pmu") {
+        } else if (arg == "--pmu") {
             o.pmu = true;
         } else {
-            return usage();
+            std::fprintf(stderr,
+                         "usage: %s [--json[=PATH]] [--loops] "
+                         "[--pmu]\n",
+                         argv[0]);
+            return false;
         }
     }
-    // --history implies the JSON emission it snapshots.
-    if (!o.historyPath.empty())
-        o.json = true;
     return true;
 }
 
@@ -147,35 +111,18 @@ compileBench(const std::string &name, OptLevel level, PredMode mode)
     const bool slot =
         level != OptLevel::Aggressive || mode == PredMode::SLOT;
 
-    // Per-entry locking so different cache keys compile concurrently
-    // while a shared key compiles exactly once.
-    struct Entry
-    {
-        std::mutex mu;
-        std::unique_ptr<CompileResult> cr;
-    };
-    static std::mutex mapMu;
     static std::map<std::tuple<std::string, int, bool>,
-                    std::shared_ptr<Entry>> cache;
-
-    std::shared_ptr<Entry> entry;
-    {
-        std::lock_guard<std::mutex> lock(mapMu);
-        auto &slotRef = cache[{name, static_cast<int>(level), slot}];
-        if (!slotRef)
-            slotRef = std::make_shared<Entry>();
-        entry = slotRef;
-    }
-    std::lock_guard<std::mutex> lock(entry->mu);
-    if (!entry->cr) {
+                    std::unique_ptr<CompileResult>> cache;
+    auto &entry = cache[{name, static_cast<int>(level), slot}];
+    if (!entry) {
         Program prog = workloads::buildWorkload(name);
         CompileOptions opts;
         opts.level = level;
         opts.slotLowering = slot;
-        entry->cr = std::make_unique<CompileResult>();
-        compileProgram(prog, opts, *entry->cr);
+        entry = std::make_unique<CompileResult>();
+        compileProgram(prog, opts, *entry);
     }
-    return *entry->cr;
+    return *entry;
 }
 
 SimStats
@@ -189,29 +136,6 @@ simulate(CompileResult &cr, int bufferOps, PredMode mode,
     sc.predMode = mode;
     sc.engine = engine;
     VliwSim sim(cr.code, sc);
-    SimStats st = sim.run();
-    LBP_ASSERT(st.checksum == cr.goldenChecksum,
-               "simulation checksum mismatch for ", cr.ir.name);
-    if (tcOut)
-        if (const TraceCacheStats *tc = sim.traceCacheStats())
-            accumulateTraceCacheStats(*tcOut, *tc);
-    if (csOut)
-        *csOut = sim.cycleStack();
-    return st;
-}
-
-SimStats
-simulateShared(CompileResult &cr, DecodedImage &img, int bufferOps,
-               PredMode mode, TraceCacheStats *tcOut,
-               obs::CycleStack *csOut)
-{
-    reallocateBuffers(cr, bufferOps);
-    rebindBufferAddresses(img, cr.code);
-    SimConfig sc;
-    sc.bufferOps = bufferOps;
-    sc.predMode = mode;
-    sc.engine = SimEngine::DECODED;
-    VliwSim sim(cr.code, sc, &img);
     SimStats st = sim.run();
     LBP_ASSERT(st.checksum == cr.goldenChecksum,
                "simulation checksum mismatch for ", cr.ir.name);
@@ -260,7 +184,8 @@ benchJsonDoc(const std::string &benchName)
 {
     using obs::Json;
     Json doc = Json::object();
-    // Schema history lives on obs::kBenchSchemaVersion (version.hh).
+    // Layout versions are listed at obs::kBenchSchemaVersion
+    // (version.hh).
     doc.set("schema_version",
             Json::integer(obs::kBenchSchemaVersion));
     doc.set("bench", Json::str(benchName));
@@ -274,10 +199,9 @@ benchJsonDoc(const std::string &benchName)
     doc.set("machine", std::move(machine));
 
     // Compiled-in code-path toggles. Unlike "machine" (identity,
-    // ignored by the history gate) these are config-class leaves,
+    // ignored by `lbp_stats diff`) these are config-class leaves,
     // compared exactly: numbers from differently-configured builds
-    // must fail the gate loudly, never silently average into the
-    // same timeline.
+    // must fail the diff loudly.
     Json build = Json::object();
     build.set("threaded_dispatch",
               Json::boolean(LBP_THREADED_DISPATCH != 0));
@@ -304,21 +228,6 @@ writeBenchJson(const std::string &path, const obs::Json &doc)
         std::exit(1);
     }
     std::printf("wrote %s\n", path.c_str());
-}
-
-void
-appendBenchHistory(const std::string &historyPath,
-                   const obs::Json &doc)
-{
-    const obs::HistoryRecord rec = obs::makeHistoryRecord(doc);
-    std::string error;
-    if (!obs::appendHistory(historyPath, rec, error)) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        std::exit(1);
-    }
-    std::printf("appended %s record (%zu values, %s) to %s\n",
-                rec.source.c_str(), rec.values.size(),
-                rec.gitSha.c_str(), historyPath.c_str());
 }
 
 void

@@ -26,42 +26,24 @@ namespace lbp
 namespace bench
 {
 
-/** Flags a bench accepts — the parseBenchOptions mask. */
-enum BenchFlag : unsigned
-{
-    kBenchFlagQuick = 1u << 0,   ///< --quick
-    kBenchFlagJson = 1u << 1,    ///< --json[=PATH]
-    kBenchFlagHistory = 1u << 2, ///< --history[=PATH] (implies json)
-    kBenchFlagLoops = 1u << 3,   ///< --loops
-    kBenchFlagThreads = 1u << 4, ///< --threads=N
-    kBenchFlagProf = 1u << 5,    ///< --prof
-    kBenchFlagPmu = 1u << 6,     ///< --pmu
-};
-
 /**
  * The flag set shared by the JSON-emitting benches, parsed once by
  * parseBenchOptions instead of per-main copies of the argv loop.
  */
 struct BenchOptions
 {
-    bool quick = false;
     bool json = false;
     bool loops = false;
-    bool prof = false;
     bool pmu = false;
-    int threads = 0;         ///< 0 = hardware concurrency
-    std::string jsonPath;    ///< parseBenchOptions seeds the default
-    std::string historyPath; ///< empty = no history append
+    std::string jsonPath; ///< parseBenchOptions seeds the default
 };
 
 /**
- * Parse argv against the flags named in @p mask (BenchFlag bits).
- * `--history` implies `--json`. On an unknown or unaccepted flag,
- * prints a usage line derived from the mask to stderr and returns
- * false — callers `return 2`, the benches' historical usage exit
- * code.
+ * Parse `--json[=PATH]`, `--loops` and `--pmu`. On any other
+ * argument, prints the usage line to stderr and returns false —
+ * callers `return 2`, the benches' historical usage exit code.
  */
-bool parseBenchOptions(int argc, char **argv, unsigned mask,
+bool parseBenchOptions(int argc, char **argv,
                        const std::string &defaultJsonPath,
                        BenchOptions &o);
 
@@ -97,10 +79,8 @@ const std::vector<int> &figureBufferSizes();
  * `mode` argument selects the compilation that matches the intended
  * simulation PredMode (REGISTER simulation requires slot lowering
  * off; it only affects the cache key at OptLevel::Aggressive where
- * slot lowering runs). The returned result is shared — callers that
- * resize its buffers (simulate does) must not race on the same cache
- * key from two threads. Acquiring distinct entries concurrently is
- * safe.
+ * slot lowering runs). The returned result is shared and the cache
+ * is single-threaded.
  */
 CompileResult &compileBench(const std::string &name, OptLevel level,
                             PredMode mode = PredMode::SLOT);
@@ -119,20 +99,6 @@ SimStats simulate(CompileResult &cr, int bufferOps,
                   TraceCacheStats *tcOut = nullptr,
                   obs::CycleStack *csOut = nullptr);
 
-/**
- * Batched-sweep variant of simulate: run the decoded engine over a
- * caller-owned shared predecode of @p cr instead of re-decoding
- * inside the VliwSim constructor. @p img must have been built from
- * @p cr.code (buildDecodedImage); this call reallocates the buffers
- * to @p bufferOps and rebinds the image's allocation-dependent
- * fields, so one decode serves a whole buffer-size sweep. @p tcOut
- * accumulates trace-cache counters as in simulate.
- */
-SimStats simulateShared(CompileResult &cr, DecodedImage &img,
-                        int bufferOps, PredMode mode = PredMode::SLOT,
-                        TraceCacheStats *tcOut = nullptr,
-                        obs::CycleStack *csOut = nullptr);
-
 /** The Table-1 benchmark names. */
 std::vector<std::string> benchNames();
 
@@ -140,8 +106,8 @@ std::vector<std::string> benchNames();
  * The "cycle_stack" block shared by every cycle-accounting bench
  * document (schema v4): one key per obs::CycleClass in enum order,
  * zeros included, plus "total" — their sum, equal to the simulated
- * cycles the block accounts for. All counters, held exactly by the
- * history gate.
+ * cycles the block accounts for. All counters, held exactly by
+ * `lbp_stats diff`.
  */
 obs::Json cycleStackJson(const obs::CycleRow &row);
 
@@ -150,10 +116,10 @@ void rule(char c = '-', int n = 78);
 
 /**
  * Start a machine-readable bench document. Every BENCH_*.json shares
- * this header so the regression gate can diff them uniformly:
+ * this header so `lbp_stats diff` can compare them uniformly:
  *
- *   schema_version   2 (obs::Json emitter with machine/config blocks)
- *   bench            the bench's short name ("fig7", "sim_fastpath")
+ *   schema_version   obs::kBenchSchemaVersion
+ *   bench            the bench's short name ("fig7", "fig8b")
  *   machine          host identity (concurrency, compiler, pointer
  *                    width) — identity, not data; diffs ignore it
  *
@@ -163,15 +129,6 @@ obs::Json benchJsonDoc(const std::string &benchName);
 
 /** Write a bench document to @p path; exits the process on I/O error. */
 void writeBenchJson(const std::string &path, const obs::Json &doc);
-
-/**
- * The `--history[=PATH]` hook shared by every JSON-emitting bench:
- * flatten @p doc into an obs::HistoryRecord and append it to the
- * jsonl store at @p historyPath (default BENCH_history.jsonl), so all
- * benches feed the timeline with one schema. Exits on I/O error.
- */
-void appendBenchHistory(const std::string &historyPath,
-                        const obs::Json &doc);
 
 /**
  * Compile (cached) + simulate one workload and print its per-loop

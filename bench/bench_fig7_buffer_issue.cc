@@ -8,14 +8,17 @@
  * mpeg2_enc (paper: 38.7% traditional -> 89.0% transformed, a 137.5%
  * relative increase).
  *
- * Usage: bench_fig7_buffer_issue [--json[=PATH]] [--history[=PATH]]
- *                                [--loops] [--pmu]
+ * The JSON also carries the decoded engine's trace-cache counters
+ * summed over every sweep point (both levels, all buffer sizes):
+ * builds, replays, replayed ops, the replay-coverage fraction
+ * (replayed ops / all buffer-issued ops), the per-reason bailout
+ * split and the predicated tier's share. Like the fractions they are
+ * deterministic, so `lbp_stats diff` holds them exactly.
+ *
+ * Usage: bench_fig7_buffer_issue [--json[=PATH]] [--loops] [--pmu]
  *   --json[=P]     machine-readable results (default
  *                  BENCH_fig7.json); fractions are deterministic, so
- *                  the dump is diffable counter-exact by the
- *                  regression gate
- *   --history[=P]  also append the flattened document to the
- *                  BENCH_history.jsonl timeline (implies --json)
+ *                  `lbp_stats diff` holds the dump counter-exact
  *   --loops        per-loop scorecard for every workload
  *                  (aggressive, 256-op buffer) after the tables
  *   --pmu          attribute host hardware counters (IPC,
@@ -42,8 +45,15 @@ struct Series
     std::vector<double> frac; // per buffer size
 };
 
+/** Trace-cache counters summed over every sweep point. */
+struct SweepReplay
+{
+    TraceCacheStats tc;
+    std::uint64_t opsFromBuffer = 0;
+};
+
 std::vector<Series>
-runLevel(OptLevel level)
+runLevel(OptLevel level, SweepReplay &replay)
 {
     std::vector<Series> out;
     for (const auto &name : benchNames()) {
@@ -51,7 +61,10 @@ runLevel(OptLevel level)
         Series s;
         s.name = name;
         for (int size : figureBufferSizes()) {
-            const SimStats st = simulate(cr, size);
+            const SimStats st = simulate(cr, size, PredMode::SLOT,
+                                         SimEngine::DECODED,
+                                         &replay.tc);
+            replay.opsFromBuffer += st.opsFromBuffer;
             s.frac.push_back(st.bufferFraction());
         }
         out.push_back(std::move(s));
@@ -94,12 +107,46 @@ headlineMean(const std::vector<Series> &rows, size_t sizeIdx)
     return n ? sum / n : 0;
 }
 
+obs::Json
+traceCacheJson(const SweepReplay &replay)
+{
+    using obs::Json;
+    const TraceCacheStats &tc = replay.tc;
+    Json j = Json::object();
+    j.set("builds", Json::uinteger(tc.builds));
+    j.set("replays", Json::uinteger(tc.replays));
+    j.set("replayed_ops", Json::uinteger(tc.replayedOps));
+    j.set("ops_from_buffer", Json::uinteger(replay.opsFromBuffer));
+    j.set("replay_coverage",
+          Json::number(replay.opsFromBuffer
+                           ? static_cast<double>(tc.replayedOps) /
+                                 static_cast<double>(replay.opsFromBuffer)
+                           : 0.0));
+    Json bail = Json::object();
+    for (std::size_t i =
+             static_cast<std::size_t>(TraceBailoutReason::Unknown);
+         i < static_cast<std::size_t>(TraceBailoutReason::Count); ++i)
+        bail.set(traceBailoutReasonName(
+                     static_cast<TraceBailoutReason>(i)),
+                 Json::uinteger(tc.bailoutsBy[i]));
+    j.set("bailout", std::move(bail));
+    Json pr = Json::object();
+    pr.set("builds", Json::uinteger(tc.predReplay.builds));
+    pr.set("replays", Json::uinteger(tc.predReplay.replays));
+    pr.set("iterations", Json::uinteger(tc.predReplay.iterations));
+    pr.set("ops", Json::uinteger(tc.predReplay.ops));
+    pr.set("side_exits", Json::uinteger(tc.predReplay.sideExits));
+    pr.set("backedge_fallthroughs",
+           Json::uinteger(tc.predReplay.backedgeFallthroughs));
+    j.set("pred_replay", std::move(pr));
+    return j;
+}
+
 void
-writeJson(const std::string &path, const std::string &historyPath,
-          const std::vector<Series> &trad,
+writeJson(const std::string &path, const std::vector<Series> &trad,
           const std::vector<Series> &aggr, double headlineTrad,
-          double headlineAggr, const obs::CycleRow &cycles,
-          obs::Json pmu)
+          double headlineAggr, const SweepReplay &replay,
+          const obs::CycleRow &cycles, obs::Json pmu)
 {
     using obs::Json;
     Json doc = benchJsonDoc("fig7");
@@ -137,16 +184,16 @@ writeJson(const std::string &path, const std::string &historyPath,
     }
     doc.set("headline", std::move(headline));
 
+    doc.set("trace_cache", traceCacheJson(replay));
+
     // Closed cycle accounting at the headline configuration
     // (aggressive, 256-op buffer), summed over every workload.
     doc.set("cycle_stack", cycleStackJson(cycles));
 
-    // Host-variant counters (PerPoint: recorded, never gated).
+    // Host-variant counters (recorded, never diffed).
     doc.set("pmu", std::move(pmu));
 
     writeBenchJson(path, doc);
-    if (!historyPath.empty())
-        appendBenchHistory(historyPath, doc);
 }
 
 } // namespace
@@ -155,20 +202,18 @@ int
 main(int argc, char **argv)
 {
     BenchOptions o;
-    if (!parseBenchOptions(argc, argv,
-                           kBenchFlagJson | kBenchFlagHistory |
-                               kBenchFlagLoops | kBenchFlagPmu,
-                           "BENCH_fig7.json", o))
+    if (!parseBenchOptions(argc, argv, "BENCH_fig7.json", o))
         return 2;
     startBenchPmu(o);
 
     std::printf("=== Figure 7: instruction issue from the loop buffer "
                 "(%%) ===\n\n");
 
-    auto trad = runLevel(OptLevel::Traditional);
+    SweepReplay replay;
+    auto trad = runLevel(OptLevel::Traditional, replay);
     printTable("Figure 7a — traditional code optimization only", trad);
     std::printf("\n");
-    auto aggr = runLevel(OptLevel::Aggressive);
+    auto aggr = runLevel(OptLevel::Aggressive, replay);
     printTable("Figure 7b — with hyperblock transformations", aggr);
 
     // Index of 256 in the size list.
@@ -207,8 +252,8 @@ main(int argc, char **argv)
             for (std::size_t k = 0; k < obs::kNumCycleClasses; ++k)
                 cycles[k] += row[k];
         }
-        writeJson(o.jsonPath, o.historyPath, trad, aggr, t, a,
-                  cycles, finishBenchPmu(o));
+        writeJson(o.jsonPath, trad, aggr, t, a, replay, cycles,
+                  finishBenchPmu(o));
     } else if (o.pmu) {
         finishBenchPmu(o); // table only — no document to carry it
     }

@@ -8,14 +8,10 @@
  * average -72.3%). Per-access energies come from the CACTI-calibrated
  * model (41.8x memory/buffer ratio at 256 ops / 512 KB, §7.2).
  *
- * Usage: bench_fig8b_power [--json[=PATH]] [--history[=PATH]]
- *                          [--loops] [--pmu]
+ * Usage: bench_fig8b_power [--json[=PATH]] [--loops] [--pmu]
  *   --json[=P]     machine-readable results (default
  *                  BENCH_fig8b.json); energies are deterministic, so
- *                  the dump is diffable counter-exact by the
- *                  regression gate
- *   --history[=P]  also append the flattened document to the
- *                  BENCH_history.jsonl timeline (implies --json)
+ *                  `lbp_stats diff` holds the dump counter-exact
  *   --loops        per-loop scorecard for every workload
  *                  (aggressive, 256-op buffer) after the table
  *   --pmu          attribute host hardware counters (IPC,
@@ -38,10 +34,7 @@ int
 main(int argc, char **argv)
 {
     BenchOptions o;
-    if (!parseBenchOptions(argc, argv,
-                           kBenchFlagJson | kBenchFlagHistory |
-                               kBenchFlagLoops | kBenchFlagPmu,
-                           "BENCH_fig8b.json", o))
+    if (!parseBenchOptions(argc, argv, "BENCH_fig8b.json", o))
         return 2;
     startBenchPmu(o);
 
@@ -137,12 +130,10 @@ main(int argc, char **argv)
         // (aggressive, 256-op buffer), summed over every workload.
         doc.set("cycle_stack", cycleStackJson(cycles));
 
-        // Host-variant counters (PerPoint: recorded, never gated).
+        // Host-variant counters (recorded, never diffed).
         doc.set("pmu", finishBenchPmu(o));
 
         writeBenchJson(o.jsonPath, doc);
-        if (!o.historyPath.empty())
-            appendBenchHistory(o.historyPath, doc);
     }
     return 0;
 }

@@ -1,17 +1,15 @@
 #!/usr/bin/env bash
 # Full local check: configure Release (-O2), build, run the tier-1
-# test suite (perf-labeled smoke excluded for speed), then the engine
-# differential and the fast-path bench smoke (which re-verifies
-# decoded-vs-reference equivalence on every sweep point it times).
-# Continues with an ASan+UBSan build running the observability surface
-# (obs-labeled tests + a traced workload through lbp_stats), since the
-# trace ring and JSON parser are exactly the kind of index-arithmetic
-# code sanitizers pay for — plus the engine differential under the
+# test suite, then the engine differential. Continues with an
+# ASan+UBSan build running the observability surface (obs-labeled
+# tests + a traced workload through lbp_stats), since the trace ring
+# and JSON parser are exactly the kind of index-arithmetic code
+# sanitizers pay for — plus the engine differential under the
 # LBP_SIM_NO_TRACE_CACHE and LBP_SIM_NO_PRED_REPLAY env overrides, so
 # the predicated replay path, the fast-tier-only cache, and the
-# general decoded path all run sanitized — then a TSan build of the same
-# surface (thread pool + concurrent registry updates, and the
-# self-profiler's signal-handler-vs-marker concurrency through
+# general decoded path all run sanitized — then a TSan build of the
+# same surface (concurrent registry updates, and the self-profiler's
+# signal-handler-vs-marker concurrency through
 # tests/test_obs_prof.cc, which rides the obs label in both sanitizer
 # builds; the live-sampling case is additionally run by name so a
 # filter change cannot silently drop it, and so is the closed
@@ -19,12 +17,13 @@
 # CycleClass, both engines, trace cache on and off). Both sanitizer
 # builds also run the host-PMU backend (ObsPmu tests + the lbp_stats
 # pmu smoke), which must exit 0 whether or not this host exposes
-# hardware counters. Finishes with the bench
-# regression gate: re-runs the figure benches and diffs their JSON
-# against the checked-in BENCH_*.json baselines — counters exact,
-# timings and the machine block tolerated (lbp_stats diff policy) —
-# and a 2-second smoke of the repository benchmark (perfbench/run.py)
-# on its cold compile -> decode -> sim workload.
+# hardware counters. Finishes with the exact counter gate: re-runs the
+# figure benches and diffs their JSON against the checked-in
+# BENCH_*.json baselines — counters exact, the machine block ignored
+# (lbp_stats diff policy) — and a 2-second smoke of the repository
+# benchmark (perfbench/run.py) on its cold compile -> decode -> sim
+# workload. Timing is judged against a base commit, which a local run
+# does not have: scripts/perf_ab.py --base REV does that.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 
@@ -40,8 +39,7 @@ cmake -B "$BUILD" -S . \
     -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG"
 cmake --build "$BUILD" -j "$(nproc)"
 
-# Tier-1: everything except the perf-labeled bench smoke.
-ctest --test-dir "$BUILD" --output-on-failure -LE perf
+ctest --test-dir "$BUILD" --output-on-failure
 
 # Engine differential: decoded fast path vs reference interpreter
 # (internally runs the trace cache forced on and forced off), then
@@ -52,12 +50,6 @@ ctest --test-dir "$BUILD" --output-on-failure -LE perf
 LBP_SIM_NO_TRACE_CACHE=1 \
     "$BUILD"/tests/lbp_sim_tests \
     --gtest_filter='*EngineDifferential*' --gtest_brief=1
-
-# Bench smoke (the ctest `perf` label), quick sweep + JSON emission,
-# sampled by the self-profiler (--prof also proves the profiler rides
-# along without perturbing the equivalence assertions).
-"$BUILD"/bench/bench_sim_fastpath --quick --prof \
-    --json="$BUILD"/BENCH_sim_fastpath_smoke.json
 
 # Self-profiler smoke: region table, attribution line, collapsed
 # stacks. Exit 1 with a clear message is acceptable only on kernels
@@ -133,10 +125,10 @@ LBP_SIM_NO_PRED_REPLAY=1 \
     --gtest_brief=1
 "$SAN_BUILD"/tools/lbp_stats pmu adpcm_dec --reps=2 >/dev/null
 
-# TSan pass: the thread pool plus concurrent obs-registry updates
+# TSan pass: concurrent obs-registry updates
 # (tests/test_obs_concurrency.cc) are the only intentionally
 # multi-threaded surface; prove the create-then-mutate-disjoint
-# pattern and the pool's submit/wait handoff race-free.
+# pattern and the start/join handoff race-free.
 cmake -B "$TSAN_BUILD" -S . \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-O1 -g -fsanitize=thread"
@@ -167,45 +159,24 @@ LBP_SIM_NO_PRED_REPLAY=1 \
     --gtest_brief=1
 "$TSAN_BUILD"/tools/lbp_stats pmu adpcm_dec --reps=2 >/dev/null
 
-# Bench regression gate: figure results must match the checked-in
-# baselines counter-exact (fractions, energies, cycles); wall-clock
-# keys and the machine block are ignored by the diff policy. Each
-# bench also appends its document to the build-local history store
-# (the same --history hook CI uses), feeding the statistical gate
-# below.
-HISTORY="$BUILD"/BENCH_history.jsonl
-rm -f "$HISTORY"
+# Exact counter gate: figure results must match the checked-in
+# baselines counter-exact (fractions, energies, cycles, trace-cache
+# counters); the machine block is ignored by the diff policy.
 "$BUILD"/bench/bench_fig7_buffer_issue \
-    --json="$BUILD"/BENCH_fig7.json --history="$HISTORY" >/dev/null
+    --json="$BUILD"/BENCH_fig7.json >/dev/null
 "$BUILD"/tools/lbp_stats diff BENCH_fig7.json "$BUILD"/BENCH_fig7.json
 "$BUILD"/bench/bench_fig8b_power \
-    --json="$BUILD"/BENCH_fig8b.json --history="$HISTORY" >/dev/null
+    --json="$BUILD"/BENCH_fig8b.json >/dev/null
 "$BUILD"/tools/lbp_stats diff BENCH_fig8b.json \
     "$BUILD"/BENCH_fig8b.json
-"$BUILD"/bench/bench_sim_fastpath \
-    --json="$BUILD"/BENCH_sim_fastpath.json --history="$HISTORY" \
-    >/dev/null
-"$BUILD"/tools/lbp_stats diff BENCH_sim_fastpath.json \
-    "$BUILD"/BENCH_sim_fastpath.json
 
 # Repository benchmark smoke: the cold compile -> decode -> sim path
 # over all registry configs must run and verify every output.
 python3 perfbench/run.py --workload cold_registry --seed 1 --seconds 2 \
     --trace 0 | tail -n 1 | grep -q '"correct": true'
 
-# History gate + flight recorder: seed the store with the checked-in
-# baselines too (so every timing key has >1 sample), judge each fresh
-# bench document against the timeline — counters exact, timings inside
-# the median+MAD window — then render the self-contained HTML report.
-for doc in BENCH_fig7.json BENCH_fig8b.json BENCH_sim_fastpath.json; do
-    "$BUILD"/tools/lbp_stats history append "$doc" \
-        --history="$HISTORY" >/dev/null
-done
-for doc in BENCH_fig7.json BENCH_fig8b.json BENCH_sim_fastpath.json; do
-    "$BUILD"/tools/lbp_stats history check "$BUILD/$doc" \
-        --history="$HISTORY"
-done
-"$BUILD"/tools/lbp_stats report adpcm_dec --history="$HISTORY" \
+# Flight recorder: the self-contained HTML report.
+"$BUILD"/tools/lbp_stats report adpcm_dec \
     --out="$BUILD"/flight_recorder.html
 test -s "$BUILD"/flight_recorder.html
 

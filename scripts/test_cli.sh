@@ -13,11 +13,6 @@
 #                 golden verbatim.
 #   diff_exit     `diff` exits 0 on identical dumps and 1 on a dump
 #                 with one mutated counter, naming the mutated key.
-#   history_gate  `history append` twice builds a deterministic
-#                 baseline; `history check` passes the unmutated dump
-#                 (exit 0), fails an injected timing slowdown with
-#                 REGRESSED naming the key, and fails a mutated
-#                 counter with EXACT-MISMATCH (both exit 1).
 #   cycles_golden `loops --cycles` appends the per-loop cycle stack
 #                 (counters only, fully deterministic) and matches the
 #                 golden verbatim.
@@ -26,12 +21,9 @@
 #                 zero total cycle delta with the issue split moving
 #                 into issueFromTraceReplay; self-explain reports
 #                 identical stacks.
-#   history_prune `history prune --keep=N` drops all but the newest N
-#                 records per source; keep < 1 is a usage error
-#                 (exit 2).
 #   report_golden `report` writes one self-contained HTML file: every
-#                 section anchor present, inline SVG sparklines, and
-#                 no external fetches (no http/https URLs at all).
+#                 section anchor present, inline SVG charts, and no
+#                 external fetches (no http/https URLs at all).
 #   sort_reject   `loops --sort=<key>` accepts exactly the documented
 #                 keys; an unknown key exits 2 and the error names
 #                 the accepted list before any compilation starts.
@@ -49,7 +41,7 @@
 #                 `explain` on a document without cycle-class keys is
 #                 a diagnosable input error: exit 2, the message names
 #                 the offending file and lists the expected leaves.
-#   version       `--version` prints the schema triple, and the same
+#   version       `--version` prints both schema versions, and the same
 #                 git SHA is stamped into every emitted JSON document.
 set -u
 
@@ -114,32 +106,6 @@ case "$CASE" in
         || fail "self-explain should report identical stacks"
     ;;
 
-  history_prune)
-    H=$TMP/h.jsonl
-    "$LBP_STATS" run adpcm_dec --buffer=256 --json="$TMP/a.json" \
-        > /dev/null || fail "lbp_stats run --json exited nonzero"
-    for i in 1 2 3; do
-        "$LBP_STATS" history append "$TMP/a.json" --history="$H" \
-            > /dev/null || fail "history append ($i) exited nonzero"
-    done
-    "$LBP_STATS" history prune --keep=1 --history="$H" \
-        > "$TMP/prune.txt" || fail "history prune exited nonzero"
-    grep -q 'pruned 2 record(s)' "$TMP/prune.txt" \
-        || fail "prune should report dropping 2 of 3 records"
-    "$LBP_STATS" history list --history="$H" > "$TMP/list.txt" \
-        || fail "history list exited nonzero"
-    grep -q '1 record(s)' "$TMP/list.txt" \
-        || fail "history should hold 1 record after prune"
-    # The survivor is the newest record, so the gate still passes.
-    "$LBP_STATS" history check "$TMP/a.json" --history="$H" \
-        > /dev/null || fail "check should pass against the survivor"
-
-    "$LBP_STATS" history prune --keep=0 --history="$H" \
-        > /dev/null 2> "$TMP/err.txt"
-    rc=$?
-    [ $rc -eq 2 ] || fail "prune --keep=0 exited $rc, want 2"
-    ;;
-
   diff_exit)
     "$LBP_STATS" run adpcm_dec --buffer=256 --json="$TMP/a.json" \
         > /dev/null || fail "lbp_stats run --json exited nonzero"
@@ -162,75 +128,18 @@ case "$CASE" in
         || fail "diff output should name the mutated key"
     ;;
 
-  history_gate)
-    H=$TMP/h.jsonl
-    "$LBP_STATS" run adpcm_dec --buffer=256 --json="$TMP/a.json" \
-        > /dev/null || fail "lbp_stats run --json exited nonzero"
-
-    "$LBP_STATS" history append "$TMP/a.json" --history="$H" \
-        > /dev/null || fail "history append (1) exited nonzero"
-    "$LBP_STATS" history append "$TMP/a.json" --history="$H" \
-        > /dev/null || fail "history append (2) exited nonzero"
-    "$LBP_STATS" history list --history="$H" > "$TMP/list.txt" \
-        || fail "history list exited nonzero"
-    grep -q '2 record(s)' "$TMP/list.txt" \
-        || fail "history list should count 2 records"
-
-    # The baseline is the appended doc itself, so the unmutated dump
-    # must pass bit-for-bit — timing gauges included.
-    "$LBP_STATS" history check "$TMP/a.json" --history="$H" \
-        > "$TMP/pass.txt"
-    [ $? -eq 0 ] || fail "clean history check should exit 0"
-    grep -q 'verdict: PASS' "$TMP/pass.txt" \
-        || fail "clean check should print 'verdict: PASS'"
-
-    # Inject a slowdown into a timing gauge (prepend a digit, same
-    # trick as diff_exit): the gate must fail naming that key while
-    # the untouched counters still pass.
-    sed 's/"compile\.total\.ms": \([0-9]\)/"compile.total.ms": 9\1/' \
-        "$TMP/a.json" > "$TMP/slow.json"
-    cmp -s "$TMP/a.json" "$TMP/slow.json" \
-        && fail "sed mutation did not change the dump"
-    "$LBP_STATS" history check "$TMP/slow.json" --history="$H" \
-        > "$TMP/slow.txt"
-    rc=$?
-    [ $rc -eq 1 ] || fail "slowdown check exited $rc, want 1"
-    grep -q 'REGRESSED' "$TMP/slow.txt" \
-        || fail "slowdown should be judged REGRESSED"
-    grep -q 'compile\\\.total\\\.ms' "$TMP/slow.txt" \
-        || fail "verdict should name the slowed key"
-
-    # A drifted counter is an exact mismatch, not a window judgment.
-    sed 's/"sim\.cycles": *\([0-9]*\)/"sim.cycles": 9\1/' \
-        "$TMP/a.json" > "$TMP/drift.json"
-    "$LBP_STATS" history check "$TMP/drift.json" --history="$H" \
-        > "$TMP/drift.txt"
-    rc=$?
-    [ $rc -eq 1 ] || fail "counter-drift check exited $rc, want 1"
-    grep -q 'EXACT-MISMATCH' "$TMP/drift.txt" \
-        || fail "counter drift should be EXACT-MISMATCH"
-    ;;
-
   report_golden)
-    H=$TMP/h.jsonl
-    "$LBP_STATS" run adpcm_dec --buffer=256 --json="$TMP/a.json" \
-        > /dev/null || fail "lbp_stats run --json exited nonzero"
-    "$LBP_STATS" history append "$TMP/a.json" --history="$H" \
-        > /dev/null || fail "history append exited nonzero"
-    "$LBP_STATS" report adpcm_dec --buffer=256 --history="$H" \
-        --out="$TMP/r.html" > /dev/null \
-        || fail "lbp_stats report exited nonzero"
+    "$LBP_STATS" report adpcm_dec --buffer=256 --out="$TMP/r.html" \
+        > /dev/null || fail "lbp_stats report exited nonzero"
     [ -s "$TMP/r.html" ] || fail "report wrote no output"
 
-    for anchor in meta gate trajectories metrics histograms \
-                  scorecard cycles phases prof pmu; do
+    for anchor in meta metrics histograms scorecard cycles phases \
+                  prof pmu; do
         grep -q "id=\"$anchor\"" "$TMP/r.html" \
             || fail "report is missing section #$anchor"
     done
     grep -q '<svg' "$TMP/r.html" \
         || fail "report should inline SVG charts"
-    grep -q 'class="spark"' "$TMP/r.html" \
-        || fail "report should render sparkline trajectories"
     # Self-contained: a single file with zero external fetches.
     grep -qiE 'https?://|<script src|<link ' "$TMP/r.html" \
         && fail "report must not reference external resources"
@@ -324,8 +233,8 @@ case "$CASE" in
   version)
     "$LBP_STATS" --version > "$TMP/v.txt" \
         || fail "lbp_stats --version exited nonzero"
-    grep -qE 'registry schema [0-9]+, bench schema [0-9]+, history schema [0-9]+' \
-        "$TMP/v.txt" || fail "--version should print the schema triple"
+    grep -qE 'registry schema [0-9]+, bench schema [0-9]+\)' \
+        "$TMP/v.txt" || fail "--version should print both schemas"
     sha=$(sed -n 's/^lbp \([^ ]*\) .*/\1/p' "$TMP/v.txt")
     [ -n "$sha" ] || fail "--version should lead with the git SHA"
 

@@ -148,7 +148,7 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
         return a.off < b.off + b.size && b.off < a.off + a.size;
     };
 
-    std::vector<int> stores_all, loads_all;
+    std::vector<int> stores_all;
     for (int i = 0; i < numOps_; ++i) {
         const Operation &op = bb.ops[i];
         const Opcode oc = op.op;
@@ -177,16 +177,12 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
             accesses.push_back(ma);
             if (ma.isSt)
                 stores_all.push_back(i);
-            else
-                loads_all.push_back(i);
         }
         // Every register write (memory op or not) advances base
         // versions, invalidating offset comparisons across it.
         for (RegId r : Liveness::defs(op))
             ++regVersion[r];
     }
-    (void)stores_all;
-    (void)loads_all;
 
     // --- Control: branches are position barriers ---
     for (int i = 0; i < numOps_; ++i) {
@@ -254,8 +250,6 @@ DepGraph::heights() const
     // Ops are in program order; distance-0 edges always go forward
     // (by construction), so a reverse sweep computes longest paths.
     for (int i = numOps_ - 1; i >= 0; --i) {
-        const Operation *op = nullptr;
-        (void)op;
         for (int e : succIdx_[i]) {
             const DepEdge &ed = edges_[e];
             if (ed.distance != 0)

@@ -206,12 +206,15 @@ lowerBlockToSlots(const BasicBlock &irBlock, SchedBlock &sb,
     }
 
     // Check clone capacity: each clone needs a free PRED slot in the
-    // define's cycle.
-    for (const auto &rw : rewrites) {
-        const int extra =
+    // define's cycle, and every define of a bundle draws on the same
+    // free slots, so the clones are summed per bundle.
+    std::vector<int> clonesNeeded(sb.bundles.size(), 0);
+    for (const auto &rw : rewrites)
+        clonesNeeded[rw.where.buIdx] +=
             std::max(0, (static_cast<int>(rw.dests.size()) + 1) / 2 - 1);
-        if (extra >
-            static_cast<int>(freePredSlots[rw.where.buIdx].size())) {
+    for (size_t bu = 0; bu < sb.bundles.size(); ++bu) {
+        if (clonesNeeded[bu] >
+            static_cast<int>(freePredSlots[bu].size())) {
             ++stats.blocksFailedCapacity;
             return false;
         }

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "support/logging.hh"
@@ -43,9 +44,38 @@ writeOperand(std::ostream &os, const Operand &o)
     }
 }
 
+/**
+ * The block labels writeText prints for @p fn: each block's name,
+ * except that the second and later live holders of a name get its
+ * first free "_N" suffix. Dead blocks are never printed, so they
+ * neither claim a label nor get a new one.
+ */
+std::vector<std::string>
+blockLabels(const Function &fn)
+{
+    std::vector<std::string> labels;
+    std::set<std::string> used;
+    std::vector<size_t> repeats;
+    for (const auto &bb : fn.blocks) {
+        labels.push_back(bb.name);
+        if (!bb.dead && !used.insert(bb.name).second)
+            repeats.push_back(bb.id);
+    }
+    for (size_t b : repeats) {
+        for (int k = 1;; ++k) {
+            std::string label = labels[b] + "_" + std::to_string(k);
+            if (used.insert(label).second) {
+                labels[b] = std::move(label);
+                break;
+            }
+        }
+    }
+    return labels;
+}
+
 void
-writeOp(std::ostream &os, const Operation &op, const Function &fn,
-        const Program &prog)
+writeOp(std::ostream &os, const Operation &op,
+        const std::vector<std::string> &labels, const Program &prog)
 {
     os << "    ";
     if (op.hasGuard())
@@ -91,7 +121,7 @@ writeOp(std::ostream &os, const Operation &op, const Function &fn,
         first = false;
     }
     if (op.target != kNoBlock)
-        os << " -> " << fn.blocks[op.target].name;
+        os << " -> " << labels[op.target];
     if (op.op == Opcode::CALL)
         os << " @" << prog.functions[op.callee].name;
     if (isBufferOp(op.op))
@@ -149,6 +179,7 @@ writeText(const Program &prog)
     }
 
     for (const auto &fn : prog.functions) {
+        const std::vector<std::string> labels = blockLabels(fn);
         os << "\nfunc " << fn.name << " params(";
         for (size_t p = 0; p < fn.params.size(); ++p)
             os << (p ? ", r" : "r") << fn.params[p];
@@ -159,17 +190,16 @@ writeText(const Program &prog)
         for (const auto &bb : fn.blocks) {
             if (bb.dead)
                 continue;
-            os << "  block " << bb.name;
+            os << "  block " << labels[bb.id];
             if (bb.id == fn.entry)
                 os << " entry";
             if (bb.isHyperblock)
                 os << " hyperblock";
             os << "\n";
             for (const auto &op : bb.ops)
-                writeOp(os, op, fn, prog);
+                writeOp(os, op, labels, prog);
             if (bb.fallthrough != kNoBlock) {
-                os << "    falls " << fn.blocks[bb.fallthrough].name
-                   << "\n";
+                os << "    falls " << labels[bb.fallthrough] << "\n";
             }
         }
     }
@@ -387,6 +417,8 @@ parseText(const std::string &text)
             // func <name> params(rA, rB) rets N [noinline]
             if (toks.size() < 3)
                 p.fail("func header too short");
+            if (funcByName.count(toks[1]))
+                p.fail("duplicate func '" + toks[1] + "'");
             curFunc = prog.newFunction(toks[1]);
             funcByName[toks[1]] = curFunc;
             blockByName.emplace_back();
@@ -446,6 +478,8 @@ parseText(const std::string &text)
                 p.fail("block outside func");
             if (toks.size() < 2)
                 p.fail("block <name> [entry] [hyperblock]");
+            if (blockByName[curFunc].count(toks[1]))
+                p.fail("duplicate block label '" + toks[1] + "'");
             Function &fn = prog.functions[curFunc];
             curBlock = fn.newBlock(toks[1]);
             blockByName[curFunc][toks[1]] = curBlock;

@@ -40,12 +40,19 @@
 namespace lbp
 {
 
-/** Serialize @p prog to canonical text. */
+/**
+ * Serialize @p prog to canonical text. Block labels are unique per
+ * function: a block name that repeats is written with the first free
+ * "_N" suffix on its second and later holders, so names that are
+ * already unique are written unchanged.
+ */
 std::string writeText(const Program &prog);
 
 /**
  * Parse a program from text. Throws std::runtime_error (via
- * LBP_FATAL) with a line number on malformed input.
+ * LBP_FATAL) with a line number on malformed input, including a
+ * block label repeated within a function and a repeated function
+ * name.
  */
 Program parseText(const std::string &text);
 

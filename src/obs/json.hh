@@ -88,9 +88,8 @@ class Json
     void write(std::ostream &os, int indent = 0) const;
 
     /**
-     * Single-line rendering with no inter-element whitespace: the
-     * jsonl record format (history.hh), where one value must occupy
-     * exactly one line.
+     * Single-line rendering with no inter-element whitespace (the
+     * form dump() returns).
      */
     void writeCompact(std::ostream &os) const;
 

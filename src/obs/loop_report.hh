@@ -18,7 +18,7 @@
  * writes the terminal LoopDecision (fate, final image size vs.
  * capacity, buffer address). Re-running allocation for another buffer
  * size (reallocateBuffers) overwrites the terminal fields and leaves
- * the transform history intact.
+ * the transform attempts intact.
  *
  * Simulator side. Both engines accumulate per-loop ops issued from
  * the buffer vs. the instruction cache at the single fetch-accounting

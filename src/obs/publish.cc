@@ -100,12 +100,10 @@ publishTraceCacheStats(Registry &r, const TraceCacheStats &s,
     r.counter(pp + ".sideExits").set(s.predReplay.sideExits);
     r.counter(pp + ".backedgeFallthroughs")
         .set(s.predReplay.backedgeFallthroughs);
-    r.counter(pp + ".midEngagements")
-        .set(s.predReplay.midEngagements);
     // Per-reason bailout split (sums to .bailouts). Every real
-    // reason is published, zeros included, so the bench-diff and
-    // history gates see a stable key set; None is the "traceable"
-    // verdict and never a bailout.
+    // reason is published, zeros included, so `lbp_stats diff` sees
+    // a stable key set; None is the "traceable" verdict and never a
+    // bailout.
     for (std::size_t i =
              static_cast<std::size_t>(TraceBailoutReason::Unknown);
          i < static_cast<std::size_t>(TraceBailoutReason::Count);
@@ -121,9 +119,9 @@ void
 publishCycleStack(Registry &r, const CycleStack &cs,
                   const std::string &prefix)
 {
-    // Every class is published, zeros included, so the bench-diff and
-    // history gates see a stable key set (the trace-cache bailout
-    // split follows the same rule).
+    // Every class is published, zeros included, so `lbp_stats diff`
+    // sees a stable key set (the trace-cache bailout split follows
+    // the same rule).
     const CycleRow totals = cs.totals();
     std::uint64_t sum = 0;
     for (std::size_t k = 0; k < kNumCycleClasses; ++k) {

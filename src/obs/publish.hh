@@ -64,7 +64,7 @@ void publishCycleStack(Registry &r, const CycleStack &cs,
  * "<prefix>.total.*" / "<prefix>.untracked.*" rows, with derived
  * gauges "<prefix>.<region>.{ipc,branchMissPct,cacheMpki}" and
  * "<prefix>.attributedCycleFraction". Everything under "pmu." is
- * host-variant and therefore PerPoint to the history gate.
+ * host-variant: recorded, never compared across hosts.
  */
 void publishPmu(Registry &r, const pmu::Snapshot &s,
                 const std::string &prefix = "pmu");

@@ -1,7 +1,6 @@
 #include "obs/report.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <ostream>
@@ -33,47 +32,6 @@ cellValue(const Json &v)
     if (v.kind() == Json::Kind::Null)
         return "<span class=\"bad\">null (non-finite)</span>";
     return htmlEscape(v.dump());
-}
-
-/**
- * A 150x36 inline sparkline over @p ys (already finite). A single
- * value draws as a flat midline so "history of length one" still
- * renders.
- */
-std::string
-sparklineSvg(const std::vector<double> &ys)
-{
-    const double w = 150, h = 36, pad = 4;
-    double lo = ys[0], hi = ys[0];
-    for (double y : ys) {
-        lo = std::min(lo, y);
-        hi = std::max(hi, y);
-    }
-    const double span = hi - lo;
-    auto px = [&](std::size_t i) {
-        return ys.size() == 1
-                   ? w / 2
-                   : pad + (w - 2 * pad) * static_cast<double>(i) /
-                         static_cast<double>(ys.size() - 1);
-    };
-    auto py = [&](double y) {
-        return span == 0 ? h / 2
-                         : h - pad - (h - 2 * pad) * (y - lo) / span;
-    };
-    std::ostringstream os;
-    os << "<svg class=\"spark\" width=\"150\" height=\"36\" "
-          "viewBox=\"0 0 150 36\" role=\"img\">";
-    os << "<polyline points=\"";
-    for (std::size_t i = 0; i < ys.size(); ++i) {
-        if (i)
-            os << ' ';
-        os << fmt(px(i)) << ',' << fmt(py(ys[i]));
-    }
-    os << "\"/>";
-    os << "<circle cx=\"" << fmt(px(ys.size() - 1)) << "\" cy=\""
-       << fmt(py(ys.back())) << "\" r=\"2.5\"/>";
-    os << "</svg>";
-    return os.str();
 }
 
 /** Bin bars for one histogram: [[value, weight], ...]. */
@@ -166,12 +124,6 @@ td.num, th.num { text-align: right; }
   font-size: 11px; color: var(--ink2); word-break: break-all;
 }
 .card .v { font-size: 12px; }
-.card .mm { color: var(--muted); font-size: 11px; }
-.spark polyline {
-  fill: none; stroke: var(--series); stroke-width: 2;
-  stroke-linejoin: round; stroke-linecap: round;
-}
-.spark circle { fill: var(--series); }
 .hist rect { fill: var(--series); }
 .badge {
   display: inline-block; padding: 0 6px; border-radius: 8px;
@@ -180,14 +132,7 @@ td.num, th.num { text-align: right; }
 .badge.ok { color: var(--good); }
 .badge.bad { color: var(--critical); }
 .bad { color: var(--critical); }
-.good { color: var(--good); }
 .muted { color: var(--muted); }
-.banner {
-  padding: 8px 12px; border-radius: 6px; font-weight: 600;
-  border: 1px solid var(--border);
-}
-.banner.pass { color: var(--good); }
-.banner.fail { color: var(--critical); }
 .barrow { display: flex; align-items: center; gap: 8px; margin: 2px 0; }
 .barrow .lbl {
   width: 260px; font-size: 12px; color: var(--ink2);
@@ -237,125 +182,11 @@ writeMetaSection(std::ostream &os, const ReportData &d)
            << "</td></tr>";
     os << "<tr><td>version</td><td>" << htmlEscape(versionString())
        << "</td></tr>";
-    if (!d.historyPath.empty())
-        os << "<tr><td>history store</td><td>"
-           << htmlEscape(d.historyPath) << " ("
-           << d.history.size() << " record(s))</td></tr>";
     if (const Json *meta = d.registryDoc.find("meta"))
         for (const auto &kv : meta->members())
             os << "<tr><td>" << htmlEscape(kv.first) << "</td><td>"
                << cellValue(kv.second) << "</td></tr>";
     os << "</table></section>\n";
-}
-
-void
-writeGateSection(std::ostream &os, const ReportData &d)
-{
-    if (d.check.kind() != Json::Kind::Object)
-        return;
-    const Json *failed = d.check.find("failed");
-    const bool bad = failed && failed->kind() == Json::Kind::Bool &&
-                     failed->asBool();
-    os << "<section id=\"gate\"><h2>Regression gate</h2>";
-    os << "<div class=\"banner " << (bad ? "fail" : "pass") << "\">"
-       << (bad ? "✖ FAIL" : "✔ PASS")
-       << " &mdash; history check against "
-       << (d.check.find("baseline_records")
-               ? htmlEscape(d.check.find("baseline_records")->dump())
-               : std::string("0"))
-       << " baseline record(s)</div>";
-    const Json *verdicts = d.check.find("verdicts");
-    if (verdicts && !verdicts->items().empty()) {
-        os << "<table><tr><th>key</th><th>verdict</th><th>class"
-              "</th><th>detail</th></tr>";
-        for (const auto &v : verdicts->items()) {
-            auto field = [&](const char *k) {
-                const Json *f = v.find(k);
-                if (!f)
-                    return std::string();
-                return f->kind() == Json::Kind::String
-                           ? f->asString()
-                           : f->dump();
-            };
-            const std::string name = field("verdict");
-            const bool rowBad = name.find_first_of(
-                                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ") !=
-                                std::string::npos;
-            os << "<tr><td>" << htmlEscape(field("key"))
-               << "</td><td class=\"" << (rowBad ? "bad" : "good")
-               << "\">" << htmlEscape(name) << "</td><td>"
-               << htmlEscape(field("class")) << "</td><td>"
-               << htmlEscape(field("detail")) << "</td></tr>";
-        }
-        os << "</table>";
-    }
-    os << "</section>\n";
-}
-
-void
-writeTrajectories(std::ostream &os, const ReportData &d)
-{
-    os << "<section id=\"trajectories\"><h2>History trajectories"
-          "</h2>";
-    if (d.history.empty()) {
-        os << "<p class=\"muted\">No history store loaded; run "
-              "<code>lbp_stats history append</code> to start the "
-              "timeline.</p></section>\n";
-        return;
-    }
-
-    // Group records by source, preserving first-seen order.
-    std::vector<std::string> sources;
-    std::map<std::string, std::vector<const HistoryRecord *>> bySrc;
-    for (const auto &rec : d.history) {
-        if (!bySrc.count(rec.source))
-            sources.push_back(rec.source);
-        bySrc[rec.source].push_back(&rec);
-    }
-
-    const std::size_t kMaxPerSource = 64;
-    for (const auto &src : sources) {
-        const auto &recs = bySrc[src];
-        os << "<h3>" << htmlEscape(src) << " &middot; "
-           << recs.size() << " record(s)</h3><div class=\"cards\">";
-        // The newest record's keys define the set and order.
-        std::size_t shown = 0, skipped = 0;
-        for (const auto &kv : recs.back()->values) {
-            if (classifyKey(kv.first) == KeyClass::Identity)
-                continue;
-            std::vector<double> ys;
-            for (const HistoryRecord *r : recs) {
-                const Json *v = r->find(kv.first);
-                if (v && v->isNumber() &&
-                    std::isfinite(v->asDouble()))
-                    ys.push_back(v->asDouble());
-            }
-            if (ys.empty())
-                continue;
-            if (shown >= kMaxPerSource) {
-                ++skipped;
-                continue;
-            }
-            ++shown;
-            double lo = ys[0], hi = ys[0];
-            for (double y : ys) {
-                lo = std::min(lo, y);
-                hi = std::max(hi, y);
-            }
-            os << "<div class=\"card\"><div class=\"k\">"
-               << htmlEscape(kv.first) << "</div>"
-               << sparklineSvg(ys) << "<div class=\"v\">last "
-               << fmt(ys.back()) << " <span class=\"mm\">min "
-               << fmt(lo) << " &middot; max " << fmt(hi) << " &middot; n="
-               << ys.size() << "</span></div></div>";
-        }
-        os << "</div>";
-        if (skipped)
-            os << "<p class=\"muted\">" << skipped
-               << " further metric(s) not plotted (cap "
-               << kMaxPerSource << " per source).</p>";
-    }
-    os << "</section>\n";
 }
 
 void
@@ -855,8 +686,6 @@ writeHtmlReport(std::ostream &os, const ReportData &data)
        << htmlEscape(data.workload) << "</h1>\n";
 
     writeMetaSection(os, data);
-    writeGateSection(os, data);
-    writeTrajectories(os, data);
     writeMetricsSection(os, data);
     writeHistogramsSection(os, data);
     writeScorecardSection(os, data);

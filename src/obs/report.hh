@@ -10,10 +10,6 @@
  *
  *   #meta          run identity: workload, git SHA, schema versions,
  *                  registry meta block
- *   #gate          the history-check verdict banner (when a check
- *                  report is supplied)
- *   #trajectories  per-metric sparkline SVGs across the history
- *                  store, grouped by record source
  *   #metrics       the current run's full registry table, grouped by
  *                  metric prefix
  *   #histograms    p50/p95/p99 plus an inline bin-bar SVG per
@@ -36,9 +32,7 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
-#include "obs/history.hh"
 #include "obs/json.hh"
 
 namespace lbp
@@ -51,7 +45,6 @@ struct ReportData
     std::string workload;
     Json registryDoc;   ///< Registry::toJson() of the current run
     Json scorecard;     ///< scorecardToJson() (Null to omit)
-    Json check;         ///< CheckReport::toJson() (Null to omit)
     Json prof;          ///< self-profile snapshot (Null to omit):
                         ///< {samples, untracked, dropped,
                         ///<  attributed_fraction, regions:{label:n}}
@@ -59,8 +52,6 @@ struct ReportData
                         ///< {available, reason | counters, regions,
                         ///<  untracked, total,
                         ///<  attributedCycleFraction}
-    std::vector<HistoryRecord> history; ///< full store, all sources
-    std::string historyPath; ///< display only ("" when no store)
 };
 
 /** Render the report. The output is pure HTML5 + inline SVG. */

@@ -26,8 +26,7 @@ versionString()
     std::ostringstream os;
     os << "lbp " << gitSha() << " (registry schema "
        << kRegistrySchemaVersion << ", bench schema "
-       << kBenchSchemaVersion << ", history schema "
-       << kHistorySchemaVersion << ")";
+       << kBenchSchemaVersion << ")";
     return os.str();
 }
 

@@ -3,8 +3,8 @@
  * Build identity for every emitted observability document. The git
  * SHA is captured at CMake configure time (`git describe --always
  * --dirty`) and compiled into exactly one translation unit; each
- * emitter stamps it into its JSON so a record in BENCH_history.jsonl
- * or a generated report is traceable to the commit that produced it.
+ * emitter stamps it into its JSON so a bench document or a generated
+ * report is traceable to the commit that produced it.
  *
  * The schema version constants for every document family live here
  * too, so `lbp_stats --version` can print the full contract in one
@@ -13,7 +13,6 @@
  *   registry dump    obs::kRegistrySchemaVersion (registry.hh)
  *   bench document   kBenchSchemaVersion (bench_common's
  *                    benchJsonDoc layout)
- *   history record   kHistorySchemaVersion (history.hh's jsonl line)
  */
 
 #ifndef LBP_OBS_VERSION_HH
@@ -33,16 +32,13 @@ class Json;
  *    2  shared obs::Json emitter; adds "machine" and "config"
  *    3  adds the "git_sha" build-identity stamp
  *    4  adds the "cycle_stack" closed cycle-accounting block
- *    5  adds the "pmu" host-counter block (PerPoint: recorded,
- *       never gated) and the "build.pmu" config bool
- *    6  sim_fastpath: adds trace_cache.pred_replay.* counters, the
- *       trace_cache.per_workload.* coverage split (PerPoint), and
- *       the nestedLoop/multiBackedge bailout reasons
+ *    5  adds the "pmu" host-counter block (recorded, never
+ *       diffed) and the "build.pmu" config bool
+ *    6  adds the trace_cache.pred_replay.* counters and the
+ *       nestedLoop/multiBackedge bailout reasons; fig7 carries the
+ *       sweep's trace_cache block (added keys only, same version)
  */
 constexpr int kBenchSchemaVersion = 6;
-
-/** BENCH_history.jsonl record layout version (see history.hh). */
-constexpr int kHistorySchemaVersion = 1;
 
 /**
  * Abbreviated git SHA of the checkout this binary was configured

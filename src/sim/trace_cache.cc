@@ -178,7 +178,6 @@ accumulateTraceCacheStats(TraceCacheStats &into,
     into.predReplay.sideExits += from.predReplay.sideExits;
     into.predReplay.backedgeFallthroughs +=
         from.predReplay.backedgeFallthroughs;
-    into.predReplay.midEngagements += from.predReplay.midEngagements;
     for (std::size_t i = 0;
          i < static_cast<std::size_t>(TraceBailoutReason::Count);
          ++i)
@@ -381,8 +380,7 @@ TraceCache::build(LoopTrace &tr, const LoopCtx &ctx,
 
 ReplayResult
 VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
-                        std::int64_t *regs, std::uint8_t *preds,
-                        std::size_t startBundle)
+                        std::int64_t *regs, std::uint8_t *preds)
 {
     TraceCache &tc = *traceCache_;
     LoopTrace &tr = tc.acquire(ctx, df);
@@ -392,14 +390,6 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
             ctx.traceDeclined = true;
             tc.countBailout(ctx.loopId, tr.reason);
         }
-        return {};
-    }
-    if (startBundle != 0 &&
-        (!tr.predicated || startBundle >= tr.bundles.size())) {
-        // Arrival point outside the trace extent — or a fast-tier
-        // trace, which replays whole iterations from bundle 0 only.
-        // Not a bailout: the general path runs this bundle and the
-        // gate retries at the next head-block arrival.
         return {};
     }
 
@@ -705,10 +695,8 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
         // general path moves per head-block bundle moves here per
         // trace bundle, in the same order.
         ++tcs.predReplay.replays;
-        if (startBundle != 0)
-            ++tcs.predReplay.midEngagements;
         outcome = ReplayOutcome::NotEngaged;
-        std::size_t bi = startBundle;
+        std::size_t bi = 0;
         for (;;) {
             const TraceBundle &tb = buBase[bi];
             LBP_ASSERT(++bundlesExecuted_ <= cfg_.maxBundles,

@@ -118,8 +118,6 @@ struct TraceCacheStats
         std::uint64_t sideExits = 0;  ///< replays ended by a taken exit
         /** Nullified-backedge hand-backs (activation stays live). */
         std::uint64_t backedgeFallthroughs = 0;
-        /** Engagements that started at a nonzero trace bundle. */
-        std::uint64_t midEngagements = 0;
     };
     PredReplay predReplay;
 

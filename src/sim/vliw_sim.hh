@@ -393,18 +393,14 @@ class VliwSim
     /**
      * Replay the resident loop on top of the loop stack from its
      * cached trace (trace_cache.cc). Called from the untraced decoded
-     * body at any bundle boundary inside the loop head; @p startBundle
-     * is the dispatcher's current bundle index, so a predicated trace
-     * can engage mid-activation (partial first iteration) instead of
-     * waiting for the next bundle-0 arrival. NotEngaged means the
-     * body is untraceable — or the arrival point is outside the trace
-     * extent — and the general path must run it.
+     * body when fetch arrives at bundle 0 of the loop head, so every
+     * engagement starts at a whole iteration. NotEngaged means the
+     * body is untraceable and the general path must run it.
      */
     ReplayResult replayResident(LoopCtx &ctx,
                                 const DecodedFunction &df,
                                 std::int64_t *regs,
-                                std::uint8_t *preds,
-                                std::size_t startBundle);
+                                std::uint8_t *preds);
 
     std::int64_t readOperand(const Frame &fr, const Operand &o) const;
     bool opExecutes(const Frame &fr, const Operation &op,

@@ -139,22 +139,20 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
         const DecodedBlock &db = df.blocks[curBlk];
         LBP_ASSERT(db.valid, "sim in dead or unscheduled block");
 
-        // Trace-cache engagement: arriving anywhere in the head block
-        // of the innermost loop while it issues from the buffer is the
-        // replay condition (predicated traces can engage mid-bundle —
-        // a trace built on this activation starts paying off now; the
-        // fast tier and out-of-extent arrivals decline inside
-        // replayResident). Untraced instantiation only — replay emits
-        // no events, and gating it to Traced=false keeps the traced
-        // event stream byte-identical by construction. A NotEngaged
-        // result falls through to the general path; declines latch
-        // traceDeclined so resident-but-untraceable loops pay the
-        // gate once per activation, not once per bundle.
+        // Trace-cache engagement: arriving at the first bundle of the
+        // head block of the innermost loop while it issues from the
+        // buffer is the replay condition. Untraced instantiation
+        // only — replay emits no events, and gating it to
+        // Traced=false keeps the traced event stream byte-identical
+        // by construction. A NotEngaged result falls through to the
+        // general path; declines latch traceDeclined so
+        // resident-but-untraceable loops pay the gate once per
+        // activation, not once per bundle.
         if constexpr (!Traced) {
             if (traceCache_ && !loopStack.empty()) {
                 LoopCtx &top = loopStack.back();
-                if (top.head == curBlk && top.fromBuffer &&
-                    !top.traceDeclined) {
+                if (top.head == curBlk && curBu == 0 &&
+                    top.fromBuffer && !top.traceDeclined) {
                     if (top.counted &&
                         top.remaining < cfg_.replayMinIters) {
                         // Residency without enough iterations left to
@@ -167,8 +165,8 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
                             top.loopId,
                             TraceBailoutReason::BelowEngageThreshold);
                     } else {
-                        const ReplayResult rr = replayResident(
-                            top, df, regs, preds, curBu);
+                        const ReplayResult rr =
+                            replayResident(top, df, regs, preds);
                         switch (rr.outcome) {
                           case ReplayOutcome::NotEngaged:
                             break;

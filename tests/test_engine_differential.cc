@@ -4,7 +4,7 @@
  * behaviorally indistinguishable from the reference interpreter —
  * every field of SimStats, including the per-loop counter vectors —
  * for every registry workload, under both predication
- * micro-architectures, at several buffer sizes.
+ * micro-architectures, at every Figure-7 buffer size.
  */
 
 #include <gtest/gtest.h>
@@ -134,7 +134,7 @@ TEST_P(EngineDifferential, DecodedMatchesReference)
             opts.slotLowering = mode == PredMode::SLOT;
             CompileResult cr;
             compileProgram(prog, opts, cr);
-            for (int size : {32, 256, 1024}) {
+            for (int size : {16, 32, 64, 128, 256, 512, 1024, 2048}) {
                 reallocateBuffers(cr, size);
                 SimConfig sc;
                 sc.bufferOps = size;

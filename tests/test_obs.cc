@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "core/compiler.hh"
@@ -144,6 +145,35 @@ TEST(ObsRegistry, DiffFindsChangedAndMissingKeys)
     EXPECT_EQ(diffs[2].key, "x.onlyB");
     EXPECT_EQ(diffs[1].b, "<absent>");
     EXPECT_EQ(diffs[2].a, "<absent>");
+}
+
+TEST(ObsRegistry, NullGaugeIsPoisonInDiff)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+
+    // A NaN gauge serializes as null in the registry dump...
+    obs::Registry ra;
+    ra.gauge("power.totalNj").set(nan);
+    const obs::Json da = ra.toJson();
+    std::ostringstream os;
+    da.write(os);
+    EXPECT_NE(os.str().find("null"), std::string::npos);
+
+    // ...and diffRegistries flags it even against an identical dump:
+    // null == null is still a mismatch, because NaN never equals
+    // anything and silence would hide a poisoned metric.
+    const auto selfDiff = obs::diffRegistries(da, da);
+    ASSERT_EQ(selfDiff.size(), 1u);
+    EXPECT_EQ(selfDiff[0].key, "power.totalNj");
+    EXPECT_NE(selfDiff[0].a.find("null"), std::string::npos);
+
+    // A finite-vs-null pair is also a diff, with distinct renderings
+    // for "null" and "absent".
+    obs::Registry rb;
+    rb.gauge("power.totalNj").set(1.5);
+    const auto diff = obs::diffRegistries(da, rb.toJson());
+    ASSERT_EQ(diff.size(), 1u);
+    EXPECT_NE(diff[0].a.find("non-finite"), std::string::npos);
 }
 
 TEST(ObsRegistry, CsvContainsEveryMetric)

@@ -1,14 +1,14 @@
 /**
  * @file
- * Concurrency tests for the obs registry under the thread pool — the
+ * Concurrency tests for the obs registry under worker threads — the
  * target of the TSan pass in scripts/check.sh. The Registry itself is
  * deliberately not thread-safe (metrics are plain fields on the sim's
  * hot path), so the supported concurrent pattern is: create every
  * metric up front on one thread, then let workers mutate *disjoint*
  * metrics lock-free and share a mutex only for metrics they actually
  * share. These tests exercise exactly that pattern; under
- * -fsanitize=thread they prove the pattern (and the ThreadPool's
- * submit/wait handoff) race-free.
+ * -fsanitize=thread they prove the pattern (and the start/join
+ * handoff) race-free.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +16,10 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/registry.hh"
-#include "support/thread_pool.hh"
 
 namespace lbp
 {
@@ -39,15 +39,16 @@ TEST(ObsConcurrency, DisjointCountersAcrossPool)
         counters.push_back(
             &reg.counter("worker." + std::to_string(w) + ".ops"));
 
-    ThreadPool pool;
+    std::vector<std::thread> workers;
     for (int w = 0; w < kWorkers; ++w) {
         obs::Counter *c = counters[w];
-        pool.submit([c] {
+        workers.emplace_back([c] {
             for (std::uint64_t i = 0; i < kIncs; ++i)
                 c->inc();
         });
     }
-    pool.wait();
+    for (auto &t : workers)
+        t.join();
 
     for (int w = 0; w < kWorkers; ++w)
         EXPECT_EQ(counters[w]->value(), kIncs);
@@ -63,16 +64,17 @@ TEST(ObsConcurrency, SharedHistogramUnderMutex)
     obs::Gauge &level = reg.gauge("level");
     std::mutex mu;
 
-    ThreadPool pool;
+    std::vector<std::thread> workers;
     for (int w = 0; w < kWorkers; ++w)
-        pool.submit([&hist, &level, &mu, w] {
+        workers.emplace_back([&hist, &level, &mu, w] {
             for (int i = 0; i < kSamples; ++i) {
                 std::lock_guard<std::mutex> lock(mu);
                 hist.add(w);
                 level.add(1.0);
             }
         });
-    pool.wait();
+    for (auto &t : workers)
+        t.join();
 
     EXPECT_DOUBLE_EQ(hist.total(), double(kWorkers) * kSamples);
     EXPECT_EQ(hist.maxValue(), kWorkers - 1);
@@ -85,22 +87,23 @@ TEST(ObsConcurrency, SharedHistogramUnderMutex)
 
 TEST(ObsConcurrency, WaitIsABarrierForResults)
 {
-    // wait() must publish every task's writes to the submitting
-    // thread; repeated rounds reuse the pool to also cover the
-    // idle->busy->idle transitions.
+    // Waiting on the workers (join) must publish every worker's
+    // writes to the starting thread; repeated rounds cover many
+    // start/join transitions.
     obs::Registry reg;
     obs::Counter &total = reg.counter("rounds.total");
-    ThreadPool pool(4);
 
     std::uint64_t expected = 0;
     for (int round = 0; round < 20; ++round) {
         std::mutex mu;
+        std::vector<std::thread> workers;
         for (int t = 0; t < 4; ++t)
-            pool.submit([&total, &mu] {
+            workers.emplace_back([&total, &mu] {
                 std::lock_guard<std::mutex> lock(mu);
                 total.inc();
             });
-        pool.wait();
+        for (auto &t : workers)
+            t.join();
         expected += 4;
         EXPECT_EQ(total.value(), expected);
     }

@@ -171,6 +171,74 @@ TEST(Serialize, ErrorsCarryLineNumbers)
                             "rets 0\n  block b entry\n    add r1 = "
                             "r2\n    ret\n");
     EXPECT_FALSE(verify(lax.functions[0]).empty());
+    // A repeated block label would bind every reference to one of the
+    // two blocks: rejected, naming the line of the second label.
+    try {
+        parseText("program x\nmemory 8\nfunc f params() rets 0\n"
+                  "  block b entry\n    falls b\n  block b\n"
+                  "    ret\n");
+        ADD_FAILURE() << "duplicate block label accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("line 6"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("duplicate block label"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(parseText("program x\nmemory 8\nfunc f params() "
+                           "rets 0\n  block b entry\n    ret\n"
+                           "func f params() rets 0\n  block b entry\n"
+                           "    ret\n"),
+                 std::runtime_error);
+}
+
+TEST(Serialize, RepeatedBlockNamesRoundTrip)
+{
+    // Two loops whose blocks end up with one name (generated programs
+    // name every while-loop block "wloop"): the writer must keep each
+    // reference bound to its own block.
+    Program prog = parseText(R"(
+program dup
+memory 64
+checksum 0 8
+entry main
+func main params() rets 1
+  block entry entry
+    mov r1 = 0
+    mov r2 = 3
+    mov r3 = 4
+    falls loop
+  block loop
+    add r1 = r1, r2
+    add r2 = r2, -1
+    br.gt r2, 0 -> loop
+    falls second
+  block second
+    add r1 = r1, 100
+    add r3 = r3, -1
+    br.gt r3, 0 -> second
+    falls done
+  block done
+    mov r4 = 0
+    st.w r4, 0, r1
+    ret r1
+)");
+    Interpreter ref(prog);
+    const auto golden = ref.run();
+    EXPECT_EQ(golden.returns[0], 3 + 2 + 1 + 4 * 100);
+    for (auto &bb : prog.functions[0].blocks)
+        if (bb.name == "second")
+            bb.name = "loop";
+
+    const std::string text = writeText(prog);
+    EXPECT_NE(text.find("block loop_1"), std::string::npos) << text;
+    Program back = parseText(text);
+    verifyOrDie(back);
+    Interpreter interp(back);
+    const auto r = interp.run();
+    EXPECT_EQ(r.checksum, golden.checksum);
+    EXPECT_EQ(r.returns, golden.returns);
 }
 
 TEST(Serialize, UnknownTargetRejected)

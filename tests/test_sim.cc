@@ -231,6 +231,33 @@ TEST(Sim, DivInt64MinRepro)
     }
 }
 
+TEST(Sim, SlotCloneCapacityRepro)
+{
+    std::ifstream in(LBP_REPRO_DIR "/slot_clone_capacity.lbp");
+    ASSERT_TRUE(in) << "missing repro " LBP_REPRO_DIR;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const Program prog = parseText(text.str());
+    constexpr std::uint64_t kGolden = 0xb93a0c83ce3b6325ull;
+    EXPECT_EQ(Interpreter(prog).run().checksum, kGolden);
+
+    // Aggressive with slot lowering: the block whose bundle cannot
+    // hold every clone is refused, not lowered half way.
+    CompileOptions opts;
+    opts.level = OptLevel::Aggressive;
+    opts.slotLowering = true;
+    CompileResult cr;
+    compileProgram(prog, opts, cr);
+    EXPECT_EQ(cr.goldenChecksum, kGolden);
+    EXPECT_GT(cr.slotStats.blocksFailedCapacity, 0);
+    for (SimEngine engine : {SimEngine::REFERENCE, SimEngine::DECODED}) {
+        SimConfig sc;
+        sc.engine = engine;
+        sc.predMode = PredMode::SLOT;
+        EXPECT_EQ(VliwSim(cr.code, sc).run().checksum, kGolden);
+    }
+}
+
 TEST(Sim, NullifiedOpsStillFetched)
 {
     // Predication trades fetch for branches: nullified ops count as

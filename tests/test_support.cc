@@ -1,19 +1,17 @@
 /**
  * @file
  * Unit tests for the support layer: deterministic RNG, histograms,
- * logging helpers, thread pool.
+ * logging helpers.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <vector>
 
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "support/stats.hh"
-#include "support/thread_pool.hh"
 
 namespace lbp
 {
@@ -121,51 +119,6 @@ TEST(Stats, Geomean)
 TEST(Logging, FatalThrows)
 {
     EXPECT_THROW(LBP_FATAL("user error ", 42), std::runtime_error);
-}
-
-TEST(ThreadPool, RunsAllSubmittedTasks)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4);
-    std::atomic<int> sum{0};
-    for (int i = 1; i <= 100; ++i)
-        pool.submit([&sum, i] { sum += i; });
-    pool.wait();
-    EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int round = 0; round < 3; ++round) {
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&count] { ++count; });
-        pool.wait();
-        EXPECT_EQ(count.load(), (round + 1) * 10);
-    }
-}
-
-TEST(ThreadPool, DefaultsToAtLeastOneThread)
-{
-    ThreadPool pool;
-    EXPECT_GE(pool.threadCount(), 1);
-    std::atomic<bool> ran{false};
-    pool.submit([&ran] { ran = true; });
-    pool.wait();
-    EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPool, DestructorDrainsPendingWork)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&count] { ++count; });
-        // No wait(): destruction must still run everything.
-    }
-    EXPECT_EQ(count.load(), 50);
 }
 
 } // namespace

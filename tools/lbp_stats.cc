@@ -2,18 +2,14 @@
  * @file
  * Observability front door: run a workload and pretty-print / dump the
  * metrics registry, diff two registry dumps, export a cycle-level
- * Chrome trace (Perfetto-loadable), maintain the bench-history
- * timeline, and render the self-contained HTML flight recorder.
+ * Chrome trace (Perfetto-loadable), and render the self-contained
+ * HTML flight recorder.
  *
  *   lbp_stats run <workload> [options]     registry table + dumps
  *   lbp_stats diff <a.json> <b.json>       field-by-field dump diff
  *   lbp_stats trace <workload> [options]   Chrome trace-event JSON
  *   lbp_stats loops <workload> [options]   per-loop scorecard
  *   lbp_stats explain <a.json> <b.json>    cycle delta by class x loop
- *   lbp_stats history append <doc.json>    flatten + append one record
- *   lbp_stats history list                 one line per stored record
- *   lbp_stats history check <doc.json>     statistical regression gate
- *   lbp_stats history prune --keep=N       keep newest N per source
  *   lbp_stats report <workload> [options]  single-file HTML report
  *   lbp_stats prof <workload> [options]    sampling self-profile
  *   lbp_stats pmu <workload> [options]     host hardware counters by
@@ -25,15 +21,11 @@
  *   --level=aggressive|traditional   compile configuration
  *   --buffer=N                       loop buffer size in ops (256)
  *   --engine=decoded|reference       simulator engine (decoded)
- *   --json=FILE                      write the registry dump / check
- *                                    verdict as JSON
+ *   --json=FILE                      write the registry dump as JSON
  *   --csv=FILE                       write the registry dump as CSV
  *   --out=FILE                       trace / report output path
  *   --sample=N                       keep 1/N of Fetch/Branch/Nullify
  *   --capacity=N                     trace ring capacity in events
- *   --history=FILE                   jsonl store (BENCH_history.jsonl)
- *   --source=NAME                    override the record source tag
- *   --window=N --rel=X --abs=X --madk=K   gate thresholds (history.hh)
  *   --sort=ops|gain|evictions|bailouts|replay
  *                                    `loops` ranking key: total
  *                                    dynamic ops (default), realized
@@ -43,8 +35,6 @@
  *                                    trace-replayed op count
  *   --cycles                         `loops` also prints the per-loop
  *                                    cycle stack table
- *   --keep=N                         `history prune` retention per
- *                                    source
  *   --hz=N --reps=N                  `prof` sampling rate / workload
  *                                    repetitions (reps=0 sizes the
  *                                    run for a stable sample count;
@@ -54,7 +44,6 @@
  *                                    host per-region IPC and branch
  *                                    miss movement next to the
  *                                    simulated cycle delta
- *   --verbose                        `history check` prints every key
  *
  * `trace` cross-checks the trace against the registry before writing:
  * the sum of ops carried by buffer-hit events must equal the run's
@@ -62,10 +51,6 @@
  * sampling and aggregates are immune to ring overflow, so this holds
  * at any capacity). A mismatch is a simulator/tracing bug and exits
  * nonzero.
- *
- * `history check` exits 1 when the gate fails (a regression, an exact
- * mismatch, a non-finite value, or a vanished key), naming each
- * offending key on stdout; see obs/history.hh for the window math.
  */
 
 #include <algorithm>
@@ -83,7 +68,6 @@
 #include <vector>
 
 #include "core/compiler.hh"
-#include "obs/history.hh"
 #include "obs/json.hh"
 #include "obs/loop_report.hh"
 #include "obs/pmu.hh"
@@ -115,16 +99,11 @@ struct Options
     std::string outPath;
     std::uint64_t sample = 1;
     std::size_t capacity = 1u << 20;
-    std::string historyPath = "BENCH_history.jsonl";
-    std::string source;
-    obs::CheckPolicy policy;
     std::string sort = "ops";
     unsigned hz = obs::prof::kDefaultHz;
     int reps = 0;  ///< prof repetitions; 0 = auto (sample target)
-    int keep = 0;  ///< history prune: newest N records per source
     bool cycles = false;  ///< loops: print the per-loop cycle stack
     bool cpi = false;     ///< explain: host-vs-simulated CPI join
-    bool verbose = false;
 };
 
 int
@@ -140,14 +119,7 @@ usage()
         << "                 [--engine=E] [--json=F] [--sort=S]\n"
         << "                 [--cycles]\n"
         << "       lbp_stats explain <a.json> <b.json> [--cpi]\n"
-        << "       lbp_stats history append <doc.json> [--history=F]\n"
-        << "                 [--source=NAME]\n"
-        << "       lbp_stats history list [--history=F]\n"
-        << "       lbp_stats history check <doc.json> [--history=F]\n"
-        << "                 [--window=N] [--rel=X] [--abs=X]\n"
-        << "                 [--madk=K] [--json=F] [--verbose]\n"
-        << "       lbp_stats history prune --keep=N [--history=F]\n"
-        << "       lbp_stats report <workload> [--out=F] [--history=F]\n"
+        << "       lbp_stats report <workload> [--out=F]\n"
         << "                 [--level=L] [--buffer=N] [--engine=E]\n"
         << "       lbp_stats prof <workload> [--hz=N] [--reps=N]\n"
         << "                 [--out=F] [--level=L] [--buffer=N]\n"
@@ -214,22 +186,8 @@ parseArgs(int argc, char **argv, Options &o)
             o.capacity = std::strtoull(v8, nullptr, 10);
             if (o.capacity == 0)
                 o.capacity = 1;
-        } else if (const char *v9 = val("--history")) {
-            o.historyPath = v9;
-        } else if (const char *v10 = val("--source")) {
-            o.source = v10;
-        } else if (const char *v11 = val("--window")) {
-            o.policy.window = std::atoi(v11);
-            if (o.policy.window < 1)
-                o.policy.window = 1;
-        } else if (const char *v12 = val("--rel")) {
-            o.policy.relTol = std::atof(v12);
-        } else if (const char *v13 = val("--abs")) {
-            o.policy.absTol = std::atof(v13);
-        } else if (const char *v14 = val("--madk")) {
-            o.policy.madK = std::atof(v14);
-        } else if (const char *v15 = val("--sort")) {
-            o.sort = v15;
+        } else if (const char *v9 = val("--sort")) {
+            o.sort = v9;
             if (o.sort != "ops" && o.sort != "gain" &&
                 o.sort != "evictions" && o.sort != "bailouts" &&
                 o.sort != "replay") {
@@ -238,22 +196,18 @@ parseArgs(int argc, char **argv, Options &o)
                              "replay)\n";
                 return false;
             }
-        } else if (const char *v16 = val("--hz")) {
-            o.hz = static_cast<unsigned>(std::atoi(v16));
+        } else if (const char *v10 = val("--hz")) {
+            o.hz = static_cast<unsigned>(std::atoi(v10));
             if (o.hz == 0)
                 o.hz = 1;
-        } else if (const char *v17 = val("--reps")) {
-            o.reps = std::atoi(v17);
+        } else if (const char *v11 = val("--reps")) {
+            o.reps = std::atoi(v11);
             if (o.reps < 1)
                 o.reps = 1;
-        } else if (const char *v18 = val("--keep")) {
-            o.keep = std::atoi(v18);
         } else if (arg == "--cycles") {
             o.cycles = true;
         } else if (arg == "--cpi") {
             o.cpi = true;
-        } else if (arg == "--verbose") {
-            o.verbose = true;
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "unknown option '" << arg << "'\n";
             return false;
@@ -377,24 +331,11 @@ cmdRun(const Options &o)
 }
 
 /**
- * Is a bench-JSON key timing-like (tolerated by the regression
- * gate)? Counters, fractions, and energies must match exactly;
- * wall-clock measurements and machine-dependent knobs may not.
- */
-bool
-timingTolerantKey(const std::string &key)
-{
-    if (key == "speedup" || key == "threads" || key == "wallMs")
-        return true;
-    return key.size() >= 2 &&
-           key.compare(key.size() - 2, 2, "Ms") == 0;
-}
-
-/**
- * Recursive diff of two BENCH_*.json documents under the
- * counters-exact / timings-tolerant policy: the "machine" identity
- * block and any timing-valued key are skipped, everything else must
- * be byte-identical.
+ * Recursive diff of two BENCH_*.json documents: the "machine"
+ * identity block, the git_sha stamp and the root "pmu" block are
+ * skipped; every other leaf (fractions, energies, cycles, counters)
+ * must be byte-identical. Bench documents carry no host timings —
+ * those are perfbench's, judged by scripts/perf_ab.py.
  */
 void
 diffBenchJson(const obs::Json &a, const obs::Json &b,
@@ -421,13 +362,11 @@ diffBenchJson(const obs::Json &a, const obs::Json &b,
             if (!a.find(kv.first))
                 keys.push_back(kv.first);
         for (const auto &k : keys) {
-            if (k == "machine" || k == "git_sha" ||
-                timingTolerantKey(k))
+            if (k == "machine" || k == "git_sha")
                 continue;
             // The top-level "pmu" block is host hardware counters —
             // per-machine, per-run values, never comparable across
-            // dumps (the history gate classes them PerPoint for the
-            // same reason).
+            // dumps.
             if (path.empty() && k == "pmu")
                 continue;
             const Json *va = a.find(k);
@@ -482,8 +421,7 @@ cmdDiff(const Options &o)
 
     // Registry dumps carry "metrics"/"histograms" sections and diff
     // field-by-field; BENCH_*.json documents (marked by a "bench"
-    // key) diff recursively under the counters-exact /
-    // timings-tolerant policy.
+    // key) diff recursively, every counter exact.
     std::vector<obs::DiffEntry> diffs;
     if (!a.find("metrics") && !b.find("metrics") &&
         (a.find("bench") || b.find("bench"))) {
@@ -624,94 +562,6 @@ cmdList()
     for (const auto &w : workloads::allWorkloads())
         std::cout << w.name << "\n";
     return 0;
-}
-
-int
-cmdHistory(const Options &o)
-{
-    if (o.positional.empty())
-        return usage();
-    const std::string &sub = o.positional[0];
-
-    if (sub == "list") {
-        if (o.positional.size() != 1)
-            return usage();
-        std::string error;
-        const auto recs = obs::loadHistory(o.historyPath, error);
-        if (!error.empty()) {
-            std::cerr << error << "\n";
-            return 1;
-        }
-        int i = 0;
-        for (const auto &rec : recs) {
-            std::cout << i++ << "  " << rec.source << "  "
-                      << rec.gitSha << "  " << rec.values.size()
-                      << " value(s)\n";
-        }
-        std::cout << recs.size() << " record(s) in " << o.historyPath
-                  << "\n";
-        return 0;
-    }
-
-    if (sub == "prune") {
-        if (o.positional.size() != 1)
-            return usage();
-        if (o.keep < 1) {
-            std::cerr << "history prune needs --keep=N (N >= 1)\n";
-            return 2;
-        }
-        std::string error;
-        int removed = 0;
-        if (!obs::pruneHistory(o.historyPath, o.keep, error,
-                               &removed)) {
-            std::cerr << error << "\n";
-            return 1;
-        }
-        std::cout << "pruned " << removed << " record(s) from "
-                  << o.historyPath << " (keeping newest " << o.keep
-                  << " per source)\n";
-        return 0;
-    }
-
-    if (o.positional.size() != 2)
-        return usage();
-    const obs::Json doc = loadJson(o.positional[1]);
-
-    if (sub == "append") {
-        const obs::HistoryRecord rec =
-            obs::makeHistoryRecord(doc, o.source);
-        std::string error;
-        if (!obs::appendHistory(o.historyPath, rec, error)) {
-            std::cerr << error << "\n";
-            return 1;
-        }
-        std::cout << "appended " << rec.source << " record ("
-                  << rec.values.size() << " values, " << rec.gitSha
-                  << ") to " << o.historyPath << "\n";
-        return 0;
-    }
-
-    if (sub == "check") {
-        std::string error;
-        const auto recs = obs::loadHistory(o.historyPath, error);
-        if (!error.empty()) {
-            std::cerr << error << "\n";
-            return 1;
-        }
-        const obs::CheckReport report =
-            obs::checkAgainstHistory(recs, doc, o.policy);
-        report.print(std::cout, o.verbose);
-        if (!o.jsonPath.empty()) {
-            if (!writeFile(o.jsonPath, [&](std::ostream &os) {
-                    report.toJson().write(os);
-                    os << "\n";
-                }))
-                return 1;
-            std::cout << "verdict dump: " << o.jsonPath << "\n";
-        }
-        return report.failed() ? 1 : 0;
-    }
-    return usage();
 }
 
 /**
@@ -1044,36 +894,13 @@ cmdReport(const Options &o)
         pmuSession.stop();
     data.pmu = obs::pmu::snapshotJson(pmuSession.snapshot());
 
-    std::string error;
-    data.history = obs::loadHistory(o.historyPath, error);
-    if (!error.empty()) {
-        std::cerr << error << "\n";
-        return 1;
-    }
-    if (!data.history.empty())
-        data.historyPath = o.historyPath;
-
-    // Fold the regression verdict in when the store has a baseline
-    // for this registry document.
-    const obs::CheckReport check =
-        obs::checkAgainstHistory(data.history, data.registryDoc,
-                                 o.policy);
-    if (check.baselineRecords > 0)
-        data.check = check.toJson();
-
     const std::string out =
         o.outPath.empty() ? name + ".report.html" : o.outPath;
     if (!writeFile(out, [&](std::ostream &os) {
             obs::writeHtmlReport(os, data);
         }))
         return 1;
-    std::cout << "report: " << out << " (" << data.history.size()
-              << " history record(s)"
-              << (check.baselineRecords > 0
-                      ? check.failed() ? ", gate: FAIL"
-                                       : ", gate: PASS"
-                      : "")
-              << ")\n";
+    std::cout << "report: " << out << "\n";
     return 0;
 }
 
@@ -1249,8 +1076,7 @@ cmdPmu(const Options &o)
 
     // The dump is the last repetition's full registry plus the
     // pmu.* keys, so one artifact carries simulated and host
-    // counters side by side (`lbp_stats diff` and the history gate
-    // treat pmu.* as PerPoint).
+    // counters side by side.
     obs::publishPmu(*reg, snap);
     if (!o.jsonPath.empty()) {
         if (!writeFile(o.jsonPath, [&](std::ostream &os) {
@@ -1285,8 +1111,6 @@ main(int argc, char **argv)
         return cmdLoops(o);
     if (o.command == "explain")
         return cmdExplain(o);
-    if (o.command == "history")
-        return cmdHistory(o);
     if (o.command == "report")
         return cmdReport(o);
     if (o.command == "prof")
