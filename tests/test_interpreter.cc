@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "core/compiler.hh"
 #include "ir/builder.hh"
 #include "ir/interpreter.hh"
 #include "ir/semantics.hh"
+#include "profile/profile.hh"
+#include "workloads/registry.hh"
 
 namespace lbp
 {
@@ -388,6 +393,81 @@ TEST(Interp, OpBudgetGuard)
     Interpreter interp(prog);
     interp.setMaxOps(1000);
     EXPECT_DEATH(interp.run(), "budget");
+}
+
+TEST(Interp, OutOfRangeOperandPanicsOnlyWhenExecuted)
+{
+    // main(x): when x == 1, run a block that reads r1000, a register
+    // the function does not have. The verifier does not check
+    // register ranges, so the read must fault only if it executes.
+    Program prog;
+    const FuncId f = prog.newFunction("main");
+    prog.entryFunc = f;
+    const RegId x = prog.functions[f].newReg();
+    prog.functions[f].params = {x};
+    prog.functions[f].numReturns = 1;
+    IRBuilder b(prog, f);
+    const BlockId bad = b.makeBlock("bad");
+    const BlockId done = b.makeBlock("done");
+    b.br(CmpCond::EQ, Operand::reg(x), Operand::imm(1), bad);
+    b.fallTo(done);
+    b.at(bad);
+    b.emit(makeBinary(Opcode::ADD, x, Operand::reg(1000),
+                      Operand::imm(1)));
+    b.fallTo(done);
+    b.at(done);
+    b.ret({Operand::imm(7)});
+
+    EXPECT_EQ(Interpreter(prog).run({0}).returns,
+              (std::vector<std::int64_t>{7}));
+    EXPECT_DEATH(Interpreter(prog).run({1}),
+                 "register out of range r1000 in main");
+}
+
+TEST(Interp, RegistryProfilePinned)
+{
+    // Every registry workload at both levels: the run results and
+    // block weights that 01_profile (the input program) and
+    // 12_reprofile (the transformed IR the pipeline keeps) see. The
+    // constant was recorded before the interpreter was predecoded and
+    // the profile reduced to block entry counts.
+    std::vector<std::uint64_t> vals;
+    auto addRun = [&](const ExecResult &r) {
+        vals.push_back(r.checksum);
+        for (std::int64_t v : r.returns)
+            vals.push_back(static_cast<std::uint64_t>(v));
+        vals.insert(vals.end(), {r.dynOps, r.dynNullified, r.dynBranches,
+                                 r.dynTaken, r.dynBlocks});
+    };
+    auto addWeights = [&](const Program &p) {
+        for (const auto &fn : p.functions) {
+            for (const auto &bb : fn.blocks) {
+                std::uint64_t bits;
+                std::memcpy(&bits, &bb.weight, sizeof bits);
+                vals.push_back(bits);
+            }
+        }
+    };
+    for (const auto &w : workloads::allWorkloads()) {
+        for (OptLevel lvl : {OptLevel::Traditional, OptLevel::Aggressive}) {
+            const Program input = workloads::buildWorkload(w.name);
+            Program profiled = input;
+            profileProgram(profiled);
+            addWeights(profiled);
+            addRun(Interpreter(input).run());
+
+            CompileOptions opts;
+            opts.level = lvl;
+            CompileResult cr;
+            compileProgram(input, opts, cr);
+            addWeights(cr.ir);
+            addRun(Interpreter(cr.ir).run());
+        }
+    }
+    const std::uint64_t digest =
+        fnv1a(reinterpret_cast<const std::uint8_t *>(vals.data()),
+              vals.size() * sizeof(std::uint64_t));
+    EXPECT_EQ(digest, 0x7994d2c9890bd8dfull) << std::hex << digest;
 }
 
 } // namespace

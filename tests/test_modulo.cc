@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "analysis/loop_info.hh"
+#include "core/compiler.hh"
 #include "ir/builder.hh"
+#include "ir/interpreter.hh"
 #include "sched/modulo_scheduler.hh"
 #include "support/random.hh"
+#include "workloads/registry.hh"
 
 namespace lbp
 {
@@ -208,6 +211,45 @@ TEST(Modulo, RandomLoopProperty)
         EXPECT_TRUE(errs.empty())
             << "trial " << trial << ": " << errs.front();
     }
+}
+
+TEST(Modulo, RegistrySchedulesPinned)
+{
+    // Every modulo-scheduled block the pipeline emits for the registry
+    // at both levels: II, MVE factor, and each op's cycle and slot.
+    // The constant was recorded before the worklist became a heap, so
+    // it pins the pick order.
+    std::vector<std::uint64_t> vals;
+    for (const auto &w : workloads::allWorkloads()) {
+        for (OptLevel lvl : {OptLevel::Traditional, OptLevel::Aggressive}) {
+            CompileOptions opts;
+            opts.level = lvl;
+            CompileResult cr;
+            compileProgram(workloads::buildWorkload(w.name), opts, cr);
+            for (const auto &sf : cr.code.functions) {
+                for (const auto &sb : sf.blocks) {
+                    if (!sb.pipelined)
+                        continue;
+                    vals.insert(vals.end(),
+                                {sf.func, sb.irBlock,
+                                 std::uint64_t(sb.ii),
+                                 std::uint64_t(sb.mveFactor)});
+                    for (size_t c = 0; c < sb.bundles.size(); ++c) {
+                        for (const auto &so : sb.bundles[c].ops) {
+                            vals.insert(vals.end(),
+                                        {so.op.id, c,
+                                         std::uint64_t(so.slot)});
+                        }
+                    }
+                }
+            }
+        }
+    }
+    ASSERT_FALSE(vals.empty());
+    const std::uint64_t digest =
+        fnv1a(reinterpret_cast<const std::uint8_t *>(vals.data()),
+              vals.size() * sizeof(std::uint64_t));
+    EXPECT_EQ(digest, 0xe136bc162d429dd3ull) << std::hex << digest;
 }
 
 } // namespace
