@@ -61,10 +61,9 @@ compileAblated(const Program &input, const AblationKnobs &k,
     out.ir = input;
     Program &prog = out.ir;
     verifyOrDie(prog);
-    auto run0 = profileProgram(prog);
-    out.goldenChecksum = run0.result.checksum;
+    out.goldenChecksum = profileProgram(prog).checksum;
     if (k.inlineCalls)
-        inlineHotCalls(prog, run0.profile);
+        inlineHotCalls(prog);
     optimizeProgram(prog);
     if (k.peel)
         peelLoops(prog);

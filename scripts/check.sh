@@ -7,7 +7,8 @@
 # sanitizers pay for — plus the engine differential under the
 # LBP_SIM_NO_TRACE_CACHE and LBP_SIM_NO_PRED_REPLAY env overrides, so
 # the predicated replay path, the fast-tier-only cache, and the
-# general decoded path all run sanitized — then a TSan build of the
+# general decoded path all run sanitized, and the compile path's
+# Interp/Modulo/Compiler/Inliner tests — then a TSan build of the
 # same surface (concurrent registry updates, and the self-profiler's
 # signal-handler-vs-marker concurrency through
 # tests/test_obs_prof.cc, which rides the obs label in both sanitizer
@@ -74,7 +75,7 @@ cmake -B "$SAN_BUILD" -S . \
     -DCMAKE_CXX_FLAGS="-O1 -g -fsanitize=address,undefined \
 -fno-sanitize-recover=all -fno-omit-frame-pointer"
 cmake --build "$SAN_BUILD" -j "$(nproc)" \
-    --target lbp_obs_tests lbp_sim_tests lbp_stats
+    --target lbp_tests lbp_obs_tests lbp_sim_tests lbp_stats
 ctest --test-dir "$SAN_BUILD" --output-on-failure -L obs
 # Sanitized engine differential with the trace cache disabled by env:
 # Auto resolves to off (general path sanitized), while the test's own
@@ -93,6 +94,13 @@ LBP_SIM_NO_PRED_REPLAY=1 \
 # the constant folder must produce the defined value, never perform
 # the overflowing division.
 "$SAN_BUILD"/tests/lbp_sim_tests --gtest_filter='Sim.DivInt64MinRepro' \
+    --gtest_brief=1
+# The compile path under ASan+UBSan, by name: the predecoded
+# interpreter's raw value-array indexing and trap operands, the
+# inline operand lists, the modulo scheduler's heap worklist, and the
+# registry pins of both.
+"$SAN_BUILD"/tests/lbp_tests \
+    --gtest_filter='Interp.*:Modulo.*:Compiler.*:Inliner.*' \
     --gtest_brief=1
 # Profiler under ASan, by name: live sampling with concurrent region
 # markers (the SIGPROF handler's single-writer discipline).

@@ -74,13 +74,13 @@ transformProgram(Program &prog, const CompileOptions &opts,
                  bool checkEachStage)
 {
     // 1. Profile + golden checksum.
-    const ProfiledRun run0 = [&] {
+    const ExecResult run0 = [&] {
         obs::ScopedPhase ph(timings, "compile.phase.01_profile",
                             prog.sizeOps());
         return profileProgram(prog, opts.profileArgs);
     }();
     countInterpRun(opts.obsRegistry);
-    out.goldenChecksum = run0.result.checksum;
+    out.goldenChecksum = run0.checksum;
 
     VerifyOptions plain, hyper;
     hyper.allowInternalBranches = true;
@@ -101,7 +101,7 @@ transformProgram(Program &prog, const CompileOptions &opts,
     // 2. Profile-guided inlining (<= 50% expansion, per the paper).
     if (opts.doInline) {
         stage("02_inline", plain, [&] {
-            out.inlineStats = inlineHotCalls(prog, run0.profile);
+            out.inlineStats = inlineHotCalls(prog);
         });
     }
 
@@ -207,7 +207,7 @@ compileProgram(const Program &input, const CompileOptions &opts,
     {
         auto ph = phase("12_reprofile");
         out.transformedChecksum =
-            profileProgram(prog, opts.profileArgs).result.checksum;
+            profileProgram(prog, opts.profileArgs).checksum;
         countInterpRun(reg);
     }
     if (out.transformedChecksum != out.goldenChecksum) {

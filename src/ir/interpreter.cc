@@ -8,6 +8,14 @@
 namespace lbp
 {
 
+namespace
+{
+
+/** Decoded opcode of an op that panics when it executes. */
+constexpr Opcode kTrap = Opcode::NUM_OPCODES;
+
+} // namespace
+
 std::uint64_t
 fnv1a(const std::uint8_t *data, size_t size)
 {
@@ -40,67 +48,245 @@ Interpreter::run(const std::vector<std::int64_t> &args)
     LBP_ASSERT(prog_.entryFunc != kNoFunc, "program without entry");
     mem_ = prog_.memory;
     res_ = ExecResult{};
-    executed_ = 0;
     callDepth_ = 0;
-    auto rets = callFunction(prog_.functions[prog_.entryFunc], args);
-    res_.returns = std::move(rets);
+    blockCounts_.resize(prog_.functions.size());
+    for (const auto &fn : prog_.functions)
+        blockCounts_[fn.id].assign(fn.blocks.size(), 0);
+    funcs_.assign(prog_.functions.size(), DecodedFunc{});
+    loops_.clear();
+
+    std::int64_t *v = pushFrame(prog_.entryFunc, args.size(), 0);
+    const DecodedFunc &df = funcs_[prog_.entryFunc];
+    for (size_t i = 0; i < args.size(); ++i)
+        v[df.params[i]] = args[i];
+    execute(prog_.entryFunc, 0);
+
+    res_.returns = rets_;
     res_.checksum = hashRange(prog_.checksumBase, prog_.checksumSize);
+    funcs_.clear();
     return res_;
 }
 
-std::int64_t
-Interpreter::readOperand(const Frame &fr, const Operand &o) const
+void
+Interpreter::decodeFunction(FuncId f)
 {
-    switch (o.kind) {
-      case OperandKind::REG:
-        LBP_ASSERT(o.asReg() < fr.regs.size(), "register out of range r",
-                   o.asReg(), " in ", fr.fn->name);
-        return fr.regs[o.asReg()];
-      case OperandKind::IMM:
-        return o.value;
-      case OperandKind::PRED:
-        LBP_ASSERT(o.asPred() < fr.preds.size(), "pred out of range");
-        return fr.preds[o.asPred()];
-      default:
-        LBP_PANIC("unreadable operand kind");
+    const Function &fn = prog_.functions[f];
+    DecodedFunc &df = funcs_[f];
+    df.fn = &fn;
+    const std::uint32_t nregs = fn.nextReg;
+    const std::uint32_t npreds = std::max<PredId>(fn.nextPred, 1);
+    df.immBase = nregs + npreds;
+    // The first immediate is the constant guard of unguarded ops.
+    df.imms.assign(1, 1);
+    const std::uint32_t one = df.immBase;
+
+    for (RegId p : fn.params) {
+        LBP_ASSERT(p < nregs, "register out of range r", p, " in ",
+                   fn.name);
+        df.params.push_back(p);
+    }
+
+    // The first failed check of the op being decoded.
+    std::string trap;
+    auto fail = [&](auto &&...msg) {
+        if (trap.empty())
+            trap = detail::formatArgs(msg...);
+        return 0u;
+    };
+    auto src = [&](const Operation &op, size_t i) -> std::uint32_t {
+        if (i >= op.srcs.size())
+            return fail("missing source of ", opcodeName(op.op), " in ",
+                        fn.name);
+        const Operand &o = op.srcs[i];
+        switch (o.kind) {
+          case OperandKind::REG:
+            if (o.asReg() < nregs)
+                return o.asReg();
+            return fail("register out of range r", o.asReg(), " in ",
+                        fn.name);
+          case OperandKind::IMM:
+            df.imms.push_back(o.value);
+            return df.immBase +
+                   static_cast<std::uint32_t>(df.imms.size() - 1);
+          case OperandKind::PRED:
+            if (o.asPred() < npreds)
+                return nregs + o.asPred();
+            return fail("pred out of range");
+          default:
+            return fail("unreadable operand kind");
+        }
+    };
+    // Every register destination is written as a register, whatever
+    // its operand kind.
+    auto regDst = [&](const Operation &op, size_t i) -> std::uint32_t {
+        if (i >= op.dsts.size())
+            return fail("missing destination of ", opcodeName(op.op),
+                        " in ", fn.name);
+        if (op.dsts[i].asReg() < nregs)
+            return op.dsts[i].asReg();
+        return fail("register out of range r", op.dsts[i].asReg(), " in ",
+                    fn.name);
+    };
+    auto predDst = [&](const Operation &op, size_t i) -> std::uint32_t {
+        if (i >= op.dsts.size())
+            return fail("missing destination of ", opcodeName(op.op),
+                        " in ", fn.name);
+        const Operand &o = op.dsts[i];
+        if (!o.isPred())
+            return fail("interpreter requires pred-register destinations");
+        if (o.asPred() == kNoPred || o.asPred() >= npreds)
+            return fail("bad pred destination");
+        return nregs + o.asPred();
+    };
+    auto list = [&](const auto &operands, auto &&decodeOne) {
+        const auto at = static_cast<std::uint32_t>(df.lists.size());
+        for (size_t i = 0; i < operands.size(); ++i) {
+            const std::uint32_t idx = decodeOne(i);
+            df.lists.push_back(idx);
+        }
+        return at;
+    };
+
+    size_t total = 0;
+    for (const auto &bb : fn.blocks)
+        total += bb.ops.size();
+    df.ops.reserve(total);
+    df.blocks.resize(fn.blocks.size());
+    for (size_t bi = 0; bi < fn.blocks.size(); ++bi) {
+        const BasicBlock &bb = fn.blocks[bi];
+        DecodedBlock &db = df.blocks[bi];
+        db.fallthrough = bb.fallthrough;
+        db.dead = bb.dead;
+        db.begin = static_cast<std::uint32_t>(df.ops.size());
+        if (!bb.dead) {
+            for (const Operation &op : bb.ops) {
+                trap.clear();
+                DecodedOp d;
+                d.op = op.op;
+                d.cond = op.cond;
+                d.branch = op.isBranchOp();
+                d.speculative = op.speculative;
+                d.target = op.target;
+                bool alwaysRuns = op.op == Opcode::PRED_DEF;
+                if (op.guard == kNoPred) {
+                    d.guard = one;
+                } else if (op.guard < npreds) {
+                    d.guard = nregs + op.guard;
+                } else {
+                    fail("guard pred out of range p", op.guard, " in ",
+                         fn.name);
+                    alwaysRuns = true;
+                }
+                switch (op.op) {
+                  case Opcode::NOP:
+                  case Opcode::JUMP:
+                  case Opcode::BR_CLOOP:
+                  case Opcode::REC_WLOOP:
+                  case Opcode::EXEC_WLOOP:
+                    break;
+                  case Opcode::MOV:
+                  case Opcode::ABS:
+                  case Opcode::ITOF:
+                  case Opcode::FTOI:
+                    d.a = src(op, 0);
+                    d.d0 = regDst(op, 0);
+                    break;
+                  case Opcode::SELECT:
+                    d.a = src(op, 0);
+                    d.b = src(op, 1);
+                    d.c = src(op, 2);
+                    d.d0 = regDst(op, 0);
+                    break;
+                  case Opcode::LD_B:
+                  case Opcode::LD_H:
+                  case Opcode::LD_W:
+                    d.a = src(op, 0);
+                    d.b = src(op, 1);
+                    d.d0 = regDst(op, 0);
+                    break;
+                  case Opcode::ST_B:
+                  case Opcode::ST_H:
+                  case Opcode::ST_W:
+                    d.a = src(op, 0);
+                    d.b = src(op, 1);
+                    d.c = src(op, 2);
+                    break;
+                  case Opcode::PRED_DEF:
+                    d.a = src(op, 0);
+                    d.b = src(op, 1);
+                    d.defKind0 = op.defKind0;
+                    if (d.defKind0 != PredDefKind::NONE)
+                        d.d0 = predDst(op, 0);
+                    if (op.dsts.size() > 1)
+                        d.defKind1 = op.defKind1;
+                    if (d.defKind1 != PredDefKind::NONE)
+                        d.d1 = predDst(op, 1);
+                    break;
+                  case Opcode::BR:
+                  case Opcode::BR_WLOOP:
+                    d.a = src(op, 0);
+                    d.b = src(op, 1);
+                    break;
+                  case Opcode::REC_CLOOP:
+                  case Opcode::EXEC_CLOOP:
+                    d.a = src(op, 0);
+                    break;
+                  case Opcode::CALL:
+                    if (op.callee >= prog_.functions.size())
+                        fail("call to unknown function in ", fn.name);
+                    d.target = op.callee;
+                    d.a = list(op.srcs,
+                               [&](size_t i) { return src(op, i); });
+                    list(op.dsts,
+                         [&](size_t i) { return regDst(op, i); });
+                    d.b = static_cast<std::uint32_t>(op.srcs.size());
+                    d.c = static_cast<std::uint32_t>(op.dsts.size());
+                    break;
+                  case Opcode::RET:
+                    d.a = list(op.srcs,
+                               [&](size_t i) { return src(op, i); });
+                    d.b = static_cast<std::uint32_t>(op.srcs.size());
+                    break;
+                  default: // binary ALU family
+                    d.a = src(op, 0);
+                    d.b = src(op, 1);
+                    d.d0 = regDst(op, 0);
+                    break;
+                }
+                if (!trap.empty()) {
+                    // A nullified op reads nothing, so only a bad
+                    // guard, or a PRED_DEF (whose guard is an input),
+                    // faults regardless of the guard's value.
+                    d.op = kTrap;
+                    if (alwaysRuns)
+                        d.guard = one;
+                    d.target = static_cast<std::uint32_t>(df.traps.size());
+                    df.traps.push_back(trap);
+                }
+                df.ops.push_back(d);
+            }
+        }
+        db.end = static_cast<std::uint32_t>(df.ops.size());
     }
 }
 
-bool
-Interpreter::guardPasses(const Frame &fr, const Operation &op) const
+std::int64_t *
+Interpreter::pushFrame(FuncId f, size_t nargs, size_t base)
 {
-    if (op.guard == kNoPred)
-        return true;
-    LBP_ASSERT(op.guard < fr.preds.size(), "guard pred out of range p",
-               op.guard, " in ", fr.fn->name);
-    return fr.preds[op.guard] != 0;
-}
-
-void
-Interpreter::execPredDef(Frame &fr, const Operation &op)
-{
-    // Table 2: the guard is an input to the define function, not a
-    // nullification condition.
-    const bool g = guardPasses(fr, op);
-    const std::int64_t a = readOperand(fr, op.srcs[0]);
-    const std::int64_t b = readOperand(fr, op.srcs[1]);
-    const bool c = evalCond(op.cond, a, b);
-
-    auto apply = [&](PredDefKind k, const Operand &dst) {
-        if (k == PredDefKind::NONE)
-            return;
-        LBP_ASSERT(dst.isPred(),
-                   "interpreter requires pred-register destinations");
-        PredId p = dst.asPred();
-        LBP_ASSERT(p != kNoPred && p < fr.preds.size(),
-                   "bad pred destination");
-        const int write = predDefWrite(k, g, c);
-        if (write >= 0)
-            fr.preds[p] = static_cast<std::uint8_t>(write);
-    };
-    apply(op.defKind0, op.dsts[0]);
-    if (op.dsts.size() > 1)
-        apply(op.defKind1, op.dsts[1]);
+    const Function &fn = prog_.functions[f];
+    LBP_ASSERT(++callDepth_ < 200, "call stack overflow in ", fn.name);
+    LBP_ASSERT(nargs == fn.params.size(),
+               "argument count mismatch calling ", fn.name);
+    if (!funcs_[f].fn)
+        decodeFunction(f);
+    const DecodedFunc &df = funcs_[f];
+    const size_t size = df.immBase + df.imms.size();
+    if (vals_.size() < base + size)
+        vals_.resize(base + size);
+    std::int64_t *v = vals_.data() + base;
+    std::fill(v, v + df.immBase, 0);
+    std::copy(df.imms.begin(), df.imms.end(), v + df.immBase);
+    return v;
 }
 
 std::int64_t
@@ -121,149 +307,146 @@ Interpreter::storeMem(Opcode op, std::int64_t addr, std::int64_t v)
     storeValue(op, mem_.data() + addr, v);
 }
 
-std::vector<std::int64_t>
-Interpreter::callFunction(const Function &fn,
-                          const std::vector<std::int64_t> &args)
+void
+Interpreter::execute(FuncId f, size_t base)
 {
-    LBP_ASSERT(++callDepth_ < 200, "call stack overflow in ", fn.name);
-    LBP_ASSERT(args.size() == fn.params.size(),
-               "argument count mismatch calling ", fn.name);
+    const DecodedFunc &df = funcs_[f];
+    const Function &fn = *df.fn;
+    const DecodedOp *const ops = df.ops.data();
+    std::uint64_t *const counts = blockCounts_[f].data();
+    const size_t frameSize = df.immBase + df.imms.size();
+    // This frame's hardware-loop contexts are loops_[loopBase..].
+    const size_t loopBase = loops_.size();
+    std::int64_t *v = vals_.data() + base;
 
-    Frame fr;
-    fr.fn = &fn;
-    fr.regs.assign(fn.nextReg, 0);
-    fr.preds.assign(std::max<PredId>(fn.nextPred, 1), 0);
-    for (size_t i = 0; i < args.size(); ++i)
-        fr.regs[fn.params[i]] = args[i];
-
-    std::vector<LoopEntry> loopStack;
-    BlockId cur = fn.entry;
-    size_t idx = 0;
-
-    while (true) {
-        LBP_ASSERT(cur != kNoBlock && cur < fn.blocks.size(),
-                   "fell off CFG in ", fn.name);
-        const BasicBlock &bb = fn.blocks[cur];
-        LBP_ASSERT(!bb.dead, "executing dead block in ", fn.name);
-        if (idx == 0) {
-            ++res_.dynBlocks;
-            if (sink_)
-                sink_->onBlock(fn.id, cur);
+    BlockId cur = kNoBlock;
+    const DecodedOp *pc = nullptr;
+    const DecodedOp *end = nullptr;
+    auto enter = [&](BlockId b) {
+        LBP_ASSERT(b < df.blocks.size(), "fell off CFG in ", fn.name);
+        const DecodedBlock &db = df.blocks[b];
+        LBP_ASSERT(!db.dead, "executing dead block in ", fn.name);
+        ++res_.dynBlocks;
+        ++counts[b];
+        cur = b;
+        pc = ops + db.begin;
+        end = ops + db.end;
+    };
+    auto resume = [&](const LoopEntry &le) {
+        cur = le.resumeBlock;
+        pc = ops + le.resumeOp;
+        end = ops + df.blocks[cur].end;
+    };
+    auto inLoop = [&] { return loops_.size() > loopBase; };
+    // A taken transfer that leaves the active hardware loop's body
+    // cancels its context.
+    auto leaveLoops = [&](BlockId target) {
+        while (inLoop() && loops_.back().head == cur &&
+               target != loops_.back().head) {
+            loops_.pop_back();
         }
-        if (idx >= bb.ops.size()) {
-            LBP_ASSERT(bb.fallthrough != kNoBlock,
-                       "fell off block ", bb.name, " in ", fn.name);
-            cur = bb.fallthrough;
-            idx = 0;
+    };
+
+    enter(fn.entry);
+    while (true) {
+        if (pc == end) {
+            const BlockId next = df.blocks[cur].fallthrough;
+            LBP_ASSERT(next != kNoBlock, "fell off block ",
+                       fn.blocks[cur].name, " in ", fn.name);
+            enter(next);
             continue;
         }
 
-        const Operation &op = bb.ops[idx];
-        ++res_.dynOps;
-        LBP_ASSERT(++executed_ <= maxOps_,
+        const DecodedOp &op = *pc;
+        LBP_ASSERT(++res_.dynOps <= maxOps_,
                    "operation budget exceeded in ", fn.name);
 
-        const bool pass = guardPasses(fr, op);
-        if (!pass && op.op != Opcode::PRED_DEF) {
+        if (v[op.guard] == 0 && op.op != Opcode::PRED_DEF) {
             ++res_.dynNullified;
-            if (op.isBranchOp()) {
+            if (op.branch)
                 ++res_.dynBranches;
-                if (sink_)
-                    sink_->onBranch(fn.id, cur, op.id, false);
-            }
-            ++idx;
+            ++pc;
             continue;
         }
 
         switch (op.op) {
           case Opcode::NOP:
-            ++idx;
+            ++pc;
             break;
 
           case Opcode::MOV:
           case Opcode::ABS:
           case Opcode::ITOF:
           case Opcode::FTOI:
-            fr.regs[op.dsts[0].asReg()] =
-                evalUnary(op.op, readOperand(fr, op.srcs[0]));
-            ++idx;
+            v[op.d0] = evalUnary(op.op, v[op.a]);
+            ++pc;
             break;
 
-          case Opcode::SELECT: {
-            const std::int64_t c = readOperand(fr, op.srcs[0]);
-            fr.regs[op.dsts[0].asReg()] =
-                c ? readOperand(fr, op.srcs[1])
-                  : readOperand(fr, op.srcs[2]);
-            ++idx;
+          case Opcode::SELECT:
+            v[op.d0] = v[op.a] ? v[op.b] : v[op.c];
+            ++pc;
             break;
-          }
 
           case Opcode::LD_B:
           case Opcode::LD_H:
           case Opcode::LD_W: {
-            const std::int64_t addr = readOperand(fr, op.srcs[0]) +
-                                      readOperand(fr, op.srcs[1]);
+            const std::int64_t addr = v[op.a] + v[op.b];
             if (op.speculative &&
                 (addr < 0 || static_cast<size_t>(addr) +
                                      memWidth(op.op) > mem_.size())) {
                 // Speculative (non-faulting) load form: out-of-range
                 // accesses deliver 0 instead of faulting.
-                fr.regs[op.dsts[0].asReg()] = 0;
+                v[op.d0] = 0;
             } else {
-                fr.regs[op.dsts[0].asReg()] = loadMem(op.op, addr);
+                v[op.d0] = loadMem(op.op, addr);
             }
-            ++idx;
+            ++pc;
             break;
           }
 
           case Opcode::ST_B:
           case Opcode::ST_H:
-          case Opcode::ST_W: {
-            const std::int64_t addr = readOperand(fr, op.srcs[0]) +
-                                      readOperand(fr, op.srcs[1]);
-            storeMem(op.op, addr, readOperand(fr, op.srcs[2]));
-            ++idx;
+          case Opcode::ST_W:
+            storeMem(op.op, v[op.a] + v[op.b], v[op.c]);
+            ++pc;
+            break;
+
+          case Opcode::PRED_DEF: {
+            // Table 2: the guard is an input to the define function,
+            // not a nullification condition.
+            const bool g = v[op.guard] != 0;
+            const bool c = evalCond(op.cond, v[op.a], v[op.b]);
+            int write = predDefWrite(op.defKind0, g, c);
+            if (write >= 0)
+                v[op.d0] = write;
+            write = predDefWrite(op.defKind1, g, c);
+            if (write >= 0)
+                v[op.d1] = write;
+            ++pc;
             break;
           }
-
-          case Opcode::PRED_DEF:
-            execPredDef(fr, op);
-            ++idx;
-            break;
 
           case Opcode::BR:
           case Opcode::BR_WLOOP: {
             ++res_.dynBranches;
-            const std::int64_t a = readOperand(fr, op.srcs[0]);
-            const std::int64_t b = readOperand(fr, op.srcs[1]);
-            const bool taken = evalCond(op.cond, a, b);
+            const bool taken = evalCond(op.cond, v[op.a], v[op.b]);
             if (taken)
                 ++res_.dynTaken;
-            if (sink_)
-                sink_->onBranch(fn.id, cur, op.id, taken);
-            if (op.op == Opcode::BR_WLOOP && !taken &&
-                !loopStack.empty() && !loopStack.back().counted) {
+            if (op.op == Opcode::BR_WLOOP && !taken && inLoop() &&
+                !loops_.back().counted) {
                 // While-loop exit: retire the hardware loop context.
-                if (loopStack.back().isExec) {
-                    cur = loopStack.back().resumeBlock;
-                    idx = loopStack.back().resumeIndex;
-                    loopStack.pop_back();
+                if (loops_.back().isExec) {
+                    resume(loops_.back());
+                    loops_.pop_back();
                     break;
                 }
-                loopStack.pop_back();
+                loops_.pop_back();
             }
             if (taken) {
-                // A taken transfer that leaves the active hardware
-                // loop's body cancels its context.
-                while (!loopStack.empty() &&
-                       loopStack.back().head == cur &&
-                       op.target != loopStack.back().head) {
-                    loopStack.pop_back();
-                }
-                cur = op.target;
-                idx = 0;
+                leaveLoops(op.target);
+                enter(op.target);
             } else {
-                ++idx;
+                ++pc;
             }
             break;
           }
@@ -271,106 +454,96 @@ Interpreter::callFunction(const Function &fn,
           case Opcode::JUMP:
             ++res_.dynBranches;
             ++res_.dynTaken;
-            if (sink_)
-                sink_->onBranch(fn.id, cur, op.id, true);
-            while (!loopStack.empty() &&
-                   loopStack.back().head == cur &&
-                   op.target != loopStack.back().head) {
-                loopStack.pop_back();
-            }
-            cur = op.target;
-            idx = 0;
+            leaveLoops(op.target);
+            enter(op.target);
             break;
 
           case Opcode::BR_CLOOP: {
             ++res_.dynBranches;
-            LBP_ASSERT(!loopStack.empty() && loopStack.back().counted,
+            LBP_ASSERT(inLoop() && loops_.back().counted,
                        "br.cloop without live counted-loop context in ",
                        fn.name);
-            LoopEntry &le = loopStack.back();
-            --le.remaining;
-            const bool taken = le.remaining > 0;
-            if (taken)
+            LoopEntry &le = loops_.back();
+            if (--le.remaining > 0) {
                 ++res_.dynTaken;
-            if (sink_)
-                sink_->onBranch(fn.id, cur, op.id, taken);
-            if (taken) {
-                cur = op.target;
-                idx = 0;
+                enter(op.target);
+            } else if (le.isExec) {
+                resume(le);
+                loops_.pop_back();
             } else {
-                if (le.isExec) {
-                    cur = le.resumeBlock;
-                    idx = le.resumeIndex;
-                    loopStack.pop_back();
-                    break;
-                }
-                loopStack.pop_back();
-                ++idx;
+                loops_.pop_back();
+                ++pc;
             }
             break;
           }
 
           case Opcode::REC_CLOOP: {
-            const std::int64_t count = readOperand(fr, op.srcs[0]);
+            const std::int64_t count = v[op.a];
             LBP_ASSERT(count >= 1, "rec_cloop with count ", count,
                        " in ", fn.name);
-            loopStack.push_back({true, count, op.target, kNoBlock, 0, false});
-            ++idx;
+            loops_.push_back({true, count, op.target, kNoBlock, 0, false});
+            ++pc;
             break;
           }
 
           case Opcode::REC_WLOOP:
-            loopStack.push_back({false, 0, op.target, kNoBlock, 0, false});
-            ++idx;
+            loops_.push_back({false, 0, op.target, kNoBlock, 0, false});
+            ++pc;
             break;
 
           case Opcode::EXEC_CLOOP: {
-            const std::int64_t count = readOperand(fr, op.srcs[0]);
+            const std::int64_t count = v[op.a];
             LBP_ASSERT(count >= 1, "exec_cloop with count ", count);
-            loopStack.push_back({true, count, op.target, cur, idx + 1, true});
-            cur = op.target;
-            idx = 0;
+            const auto next = static_cast<std::uint32_t>(pc - ops + 1);
+            loops_.push_back({true, count, op.target, cur, next, true});
+            enter(op.target);
             break;
           }
 
-          case Opcode::EXEC_WLOOP:
-            loopStack.push_back({false, 0, op.target, cur, idx + 1, true});
-            cur = op.target;
-            idx = 0;
+          case Opcode::EXEC_WLOOP: {
+            const auto next = static_cast<std::uint32_t>(pc - ops + 1);
+            loops_.push_back({false, 0, op.target, cur, next, true});
+            enter(op.target);
             break;
+          }
 
           case Opcode::CALL: {
-            const Function &callee = prog_.functions[op.callee];
-            std::vector<std::int64_t> cargs;
-            cargs.reserve(op.srcs.size());
-            for (const auto &s : op.srcs)
-                cargs.push_back(readOperand(fr, s));
-            auto rets = callFunction(callee, cargs);
-            LBP_ASSERT(rets.size() >= op.dsts.size(),
-                       "not enough return values from ", callee.name);
-            for (size_t i = 0; i < op.dsts.size(); ++i)
-                fr.regs[op.dsts[i].asReg()] = rets[i];
-            ++idx;
+            const std::uint32_t *args = df.lists.data() + op.a;
+            const size_t calleeBase = base + frameSize;
+            std::int64_t *cv = pushFrame(op.target, op.b, calleeBase);
+            v = vals_.data() + base; // pushFrame may have grown vals_
+            const DecodedFunc &cf = funcs_[op.target];
+            for (std::uint32_t i = 0; i < op.b; ++i)
+                cv[cf.params[i]] = v[args[i]];
+            execute(op.target, calleeBase);
+            v = vals_.data() + base;
+            LBP_ASSERT(rets_.size() >= op.c,
+                       "not enough return values from ",
+                       prog_.functions[op.target].name);
+            const std::uint32_t *dsts = args + op.b;
+            for (std::uint32_t i = 0; i < op.c; ++i)
+                v[dsts[i]] = rets_[i];
+            ++pc;
             break;
           }
 
           case Opcode::RET: {
-            std::vector<std::int64_t> rets;
-            for (const auto &s : op.srcs)
-                rets.push_back(readOperand(fr, s));
+            const std::uint32_t *srcs = df.lists.data() + op.a;
+            rets_.clear();
+            for (std::uint32_t i = 0; i < op.b; ++i)
+                rets_.push_back(v[srcs[i]]);
+            loops_.resize(loopBase);
             --callDepth_;
-            return rets;
+            return;
           }
 
-          default: {
-            // Binary ALU family.
-            const std::int64_t a = readOperand(fr, op.srcs[0]);
-            const std::int64_t b = readOperand(fr, op.srcs[1]);
-            fr.regs[op.dsts[0].asReg()] =
-                evalBinary(op.op, op.cond, a, b);
-            ++idx;
+          case kTrap:
+            LBP_PANIC(df.traps[op.target]);
+
+          default: // binary ALU family
+            v[op.d0] = evalBinary(op.op, op.cond, v[op.a], v[op.b]);
+            ++pc;
             break;
-          }
         }
     }
 }

@@ -9,15 +9,28 @@
  * Used for three things:
  *  - golden checksums: every compilation configuration must reproduce
  *    the interpreter's result;
- *  - profiling: block execution counts and branch statistics feed the
- *    profile-guided transformations;
+ *  - profiling: per-block entry counts become the block weights the
+ *    profile-guided transformations read (profile/profile.hh);
  *  - transformation equivalence tests.
+ *
+ * Each run() predecodes every function it calls, on its first call,
+ * into flat per-block op arrays. An operand is an index into the
+ * frame's one dense value array (registers, then predicates, then the
+ * function's immediates), so reading it is one load with no switch on
+ * its kind. An op whose operands cannot be read decodes to a trap
+ * that panics, with the message the check would give, only when the
+ * op executes: the verifier does not check register ranges, so an
+ * invalid op in a block that never runs stays harmless. Nothing
+ * decoded outlives run(), because programs change between pipeline
+ * stages. The interpreter shares only ir/semantics.hh with the
+ * simulator engines, so it stays their independent oracle.
  */
 
 #ifndef LBP_IR_INTERPRETER_HH
 #define LBP_IR_INTERPRETER_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ir/program.hh"
@@ -48,30 +61,11 @@ struct ExecResult
     std::uint64_t dynBlocks = 0;
 };
 
-/** Optional profile collection during interpretation. */
-class ProfileSink
-{
-  public:
-    virtual ~ProfileSink() = default;
-
-    /** Block @p b of function @p f entered. */
-    virtual void onBlock(FuncId f, BlockId b) = 0;
-
-    /**
-     * Branch op @p opId in (f, b) executed; @p taken tells the
-     * resolved direction (nullified branches report not-taken).
-     */
-    virtual void onBranch(FuncId f, BlockId b, OpId opId, bool taken) = 0;
-};
-
 /** Interpreter over a Program. */
 class Interpreter
 {
   public:
     explicit Interpreter(const Program &prog);
-
-    /** Attach a profile sink (may be null). */
-    void setProfileSink(ProfileSink *sink) { sink_ = sink; }
 
     /** Cap on executed operations (guards against runaway loops). */
     void setMaxOps(std::uint64_t n) { maxOps_ = n; }
@@ -86,15 +80,61 @@ class Interpreter
     /** Access to final memory after run() (for tests). */
     const std::vector<std::uint8_t> &memory() const { return mem_; }
 
+    /**
+     * Entries into each block of function @p f during the last run(),
+     * indexed by BlockId (all zero for a function never called).
+     */
+    const std::vector<std::uint64_t> &blockCounts(FuncId f) const
+    { return blockCounts_[f]; }
+
     /** FNV-1a over an arbitrary byte range of current memory. */
     std::uint64_t hashRange(std::int64_t base, std::int64_t size) const;
 
   private:
-    struct Frame
+    /**
+     * One predecoded op. Operand fields index the frame's value
+     * array; an unguarded op's guard indexes a constant 1.
+     */
+    struct DecodedOp
+    {
+        Opcode op = Opcode::NOP; ///< NUM_OPCODES for a trap
+        CmpCond cond = CmpCond::EQ;
+        PredDefKind defKind0 = PredDefKind::NONE;
+        PredDefKind defKind1 = PredDefKind::NONE;
+        /** Counts as a branch when nullified. */
+        bool branch = false;
+        bool speculative = false;
+        std::uint32_t guard = 0;
+        /** Sources; CALL/RET: a = offset into DecodedFunc::lists,
+         *  b = argument count, c = result count. */
+        std::uint32_t a = 0, b = 0, c = 0;
+        /** Destinations (registers, or predicates for PRED_DEF). */
+        std::uint32_t d0 = 0, d1 = 0;
+        /** Branch target block; callee for CALL; message for a trap. */
+        std::uint32_t target = 0;
+    };
+
+    struct DecodedBlock
+    {
+        std::uint32_t begin = 0, end = 0; ///< range in DecodedFunc::ops
+        BlockId fallthrough = kNoBlock;
+        bool dead = false;
+    };
+
+    struct DecodedFunc
     {
         const Function *fn = nullptr;
-        std::vector<std::int64_t> regs;
-        std::vector<std::uint8_t> preds;
+        std::vector<DecodedOp> ops;
+        std::vector<DecodedBlock> blocks; ///< indexed by BlockId
+        /** CALL argument/result and RET value index lists. */
+        std::vector<std::uint32_t> lists;
+        /** Value index of each parameter register. */
+        std::vector<std::uint32_t> params;
+        /** Frame layout: registers and predicates in [0, immBase),
+         *  then `imms`. */
+        std::uint32_t immBase = 0;
+        std::vector<std::int64_t> imms;
+        std::vector<std::string> traps;
     };
 
     /** Loop-count stack entry for hardware-loop semantics. */
@@ -108,27 +148,29 @@ class Interpreter
         BlockId head = kNoBlock;
         /** For EXEC_* entries: where to resume on loop exit. */
         BlockId resumeBlock = kNoBlock;
-        size_t resumeIndex = 0;
+        std::uint32_t resumeOp = 0;
         bool isExec = false;
     };
 
-    std::vector<std::int64_t> callFunction(const Function &fn,
-                                           const std::vector<std::int64_t>
-                                               &args);
-
-    std::int64_t readOperand(const Frame &fr, const Operand &o) const;
-    bool guardPasses(const Frame &fr, const Operation &op) const;
-    void execPredDef(Frame &fr, const Operation &op);
+    void decodeFunction(FuncId f);
+    std::int64_t *pushFrame(FuncId f, size_t nargs, size_t base);
+    void execute(FuncId f, size_t base);
     std::int64_t loadMem(Opcode op, std::int64_t addr) const;
     void storeMem(Opcode op, std::int64_t addr, std::int64_t v);
 
     const Program &prog_;
     std::vector<std::uint8_t> mem_;
-    ProfileSink *sink_ = nullptr;
     std::uint64_t maxOps_ = 2'000'000'000ull;
     ExecResult res_;
-    std::uint64_t executed_ = 0;
     int callDepth_ = 0;
+    std::vector<std::vector<std::uint64_t>> blockCounts_;
+
+    // Per-run state.
+    std::vector<DecodedFunc> funcs_;  ///< indexed by FuncId; fn null
+                                      ///< until first called
+    std::vector<std::int64_t> vals_;  ///< frames' value arrays, stacked
+    std::vector<LoopEntry> loops_;    ///< loop contexts of all frames
+    std::vector<std::int64_t> rets_;  ///< values of the last RET
 };
 
 /** FNV-1a 64-bit hash over a byte span. */

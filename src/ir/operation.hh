@@ -6,7 +6,9 @@
 #ifndef LBP_IR_OPERATION_HH
 #define LBP_IR_OPERATION_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "ir/opcode.hh"
@@ -59,6 +61,112 @@ struct Operand
 };
 
 /**
+ * An operation's source or destination operands. Up to three are
+ * stored inline and only longer CALL/RET lists go to the heap, so
+ * copying or destroying an op (IR copies, scheduled copies, teardown)
+ * usually allocates nothing. Offers the subset of std::vector the IR
+ * uses.
+ */
+class OperandList
+{
+  public:
+    static constexpr std::uint32_t kInline = 3;
+
+    OperandList() = default;
+    OperandList(std::initializer_list<Operand> ops)
+    { append(ops.begin(), ops.size()); }
+    OperandList(const std::vector<Operand> &ops)
+    { append(ops.data(), ops.size()); }
+    OperandList(const OperandList &o) { append(o.data_, o.size_); }
+    OperandList(OperandList &&o) noexcept { steal(o); }
+    ~OperandList() { release(); }
+
+    OperandList &operator=(const OperandList &o)
+    {
+        if (this != &o) {
+            size_ = 0;
+            append(o.data_, o.size_);
+        }
+        return *this;
+    }
+    OperandList &operator=(OperandList &&o) noexcept
+    {
+        if (this != &o) {
+            release();
+            steal(o);
+        }
+        return *this;
+    }
+    OperandList &operator=(std::initializer_list<Operand> ops)
+    {
+        size_ = 0;
+        append(ops.begin(), ops.size());
+        return *this;
+    }
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    Operand &operator[](size_t i) { return data_[i]; }
+    const Operand &operator[](size_t i) const { return data_[i]; }
+    Operand *begin() { return data_; }
+    Operand *end() { return data_ + size_; }
+    const Operand *begin() const { return data_; }
+    const Operand *end() const { return data_ + size_; }
+
+    void push_back(const Operand &o)
+    {
+        if (size_ == cap_)
+            reserve(2 * size_);
+        data_[size_++] = o;
+    }
+    void clear() { size_ = 0; }
+
+  private:
+    void reserve(size_t n)
+    {
+        if (n <= cap_)
+            return;
+        Operand *heap = new Operand[n];
+        std::copy(data_, data_ + size_, heap);
+        release();
+        data_ = heap;
+        cap_ = static_cast<std::uint32_t>(n);
+    }
+    void append(const Operand *ops, size_t n)
+    {
+        reserve(size_ + n);
+        std::copy(ops, ops + n, data_ + size_);
+        size_ += static_cast<std::uint32_t>(n);
+    }
+    void release()
+    {
+        if (data_ != inline_)
+            delete[] data_;
+    }
+    /** Take @p o's operands and leave it empty and inline. */
+    void steal(OperandList &o)
+    {
+        if (o.data_ == o.inline_) {
+            std::copy(o.inline_, o.inline_ + o.size_, inline_);
+            data_ = inline_;
+            cap_ = kInline;
+        } else {
+            data_ = o.data_;
+            cap_ = o.cap_;
+            o.data_ = o.inline_;
+            o.cap_ = kInline;
+        }
+        size_ = o.size_;
+        o.size_ = 0;
+    }
+
+    Operand *data_ = inline_;
+    std::uint32_t size_ = 0;
+    std::uint32_t cap_ = kInline;
+    Operand inline_[kInline];
+};
+
+/**
  * One IR operation.
  *
  * Layout conventions per opcode family:
@@ -93,14 +201,11 @@ struct Operation
     PredDefKind defKind0 = PredDefKind::NONE;
     PredDefKind defKind1 = PredDefKind::NONE;
 
-    std::vector<Operand> dsts;
-    std::vector<Operand> srcs;
-
     /** Guard predicate; kNoPred (0) means unguarded. */
     PredId guard = kNoPred;
 
-    /** Slot-predication sensitivity bit (valid after lowering). */
-    bool sensitive = false;
+    OperandList dsts;
+    OperandList srcs;
 
     /** Branch target block. */
     BlockId target = kNoBlock;
@@ -114,14 +219,17 @@ struct Operation
     /** Loop image size in operations for REC_* ops. */
     std::int32_t numOps = 0;
 
+    /** Unique id within the owning function (assigned by Function). */
+    OpId id = 0;
+
+    /** Slot-predication sensitivity bit (valid after lowering). */
+    bool sensitive = false;
+
     /** Marks code pulled in from an outer loop by collapsing. */
     bool fromOuterLoop = false;
 
     /** Marks control-speculated (promoted) operations. */
     bool speculative = false;
-
-    /** Unique id within the owning function (assigned by Function). */
-    OpId id = 0;
 
     bool isBranchOp() const { return isBranch(op); }
     bool hasGuard() const { return guard != kNoPred; }

@@ -1,16 +1,16 @@
 /**
  * @file
- * Execution profiling: collects block weights and per-branch taken
- * counts from an interpreter run and writes them back onto the IR as
- * annotations. Profile-guided inlining, hyperblock formation, and
- * buffer allocation all consume these.
+ * Execution profiling: an interpreter run whose per-block entry
+ * counts are written back onto the IR as BasicBlock::weight.
+ * Profile-guided inlining, if-conversion, the loop decision log and
+ * buffer allocation all read those weights.
  */
 
 #ifndef LBP_PROFILE_PROFILE_HH
 #define LBP_PROFILE_PROFILE_HH
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "ir/interpreter.hh"
 #include "ir/program.hh"
@@ -18,48 +18,13 @@
 namespace lbp
 {
 
-/** Collected profile for one program run. */
-class Profile : public ProfileSink
-{
-  public:
-    void onBlock(FuncId f, BlockId b) override;
-    void onBranch(FuncId f, BlockId b, OpId opId, bool taken) override;
-
-    /** Block execution count. */
-    double blockWeight(FuncId f, BlockId b) const;
-
-    /** Branch executed / taken counts for op @p opId in function f. */
-    double branchExec(FuncId f, OpId opId) const;
-    double branchTaken(FuncId f, OpId opId) const;
-
-    /** Taken probability (0 if never executed). */
-    double takenProb(FuncId f, OpId opId) const;
-
-    /** Copy block weights onto Function::blocks[].weight. */
-    void annotate(Program &prog) const;
-
-    /** Total dynamic block entries recorded. */
-    std::uint64_t totalBlocks() const { return totalBlocks_; }
-
-  private:
-    std::map<std::pair<FuncId, BlockId>, double> blocks_;
-    std::map<std::pair<FuncId, OpId>, double> brExec_;
-    std::map<std::pair<FuncId, OpId>, double> brTaken_;
-    std::uint64_t totalBlocks_ = 0;
-};
-
 /**
- * Convenience: interpret @p prog with @p args, annotate block weights,
- * and return the collected profile together with the run result.
+ * Interpret @p prog with @p args, set every live block's weight to
+ * its entry count (0 for blocks never entered), and return the run
+ * result.
  */
-struct ProfiledRun
-{
-    ExecResult result;
-    Profile profile;
-};
-
-ProfiledRun profileProgram(Program &prog,
-                           const std::vector<std::int64_t> &args = {});
+ExecResult profileProgram(Program &prog,
+                          const std::vector<std::int64_t> &args = {});
 
 } // namespace lbp
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "analysis/dependence.hh"
+#include "obs/prof.hh"
 #include "support/logging.hh"
 
 namespace lbp
@@ -11,6 +12,10 @@ namespace lbp
 SchedBlock
 listScheduleBlock(const BasicBlock &bb, const Machine &machine)
 {
+    static const std::uint8_t listRegion =
+        obs::prof::internRegion("schedule.list");
+    obs::prof::ScopedRegion region(listRegion);
+
     SchedBlock sb;
     sb.irBlock = bb.id;
     sb.valid = true;

@@ -1,8 +1,10 @@
 #include "sched/modulo_scheduler.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "analysis/dependence.hh"
+#include "obs/prof.hh"
 #include "support/logging.hh"
 
 namespace lbp
@@ -60,33 +62,73 @@ struct ImsState
 };
 
 /**
+ * Unscheduled ops, popped in priority order: height descending, then
+ * program order. A binary heap plus a membership bitset; an op is
+ * queued at most once.
+ */
+class Worklist
+{
+  public:
+    Worklist(const std::vector<int> &heights)
+        : order_{heights}, queued_(heights.size(), false)
+    {
+    }
+
+    bool empty() const { return heap_.empty(); }
+
+    void push(int op)
+    {
+        if (queued_[op])
+            return;
+        queued_[op] = true;
+        heap_.push_back(op);
+        std::push_heap(heap_.begin(), heap_.end(), order_);
+    }
+
+    int pop()
+    {
+        std::pop_heap(heap_.begin(), heap_.end(), order_);
+        const int op = heap_.back();
+        heap_.pop_back();
+        queued_[op] = false;
+        return op;
+    }
+
+  private:
+    /** Heap order: true when @p a has lower priority than @p b. */
+    struct LowerPriority
+    {
+        const std::vector<int> &h;
+        bool operator()(int a, int b) const
+        {
+            return h[a] != h[b] ? h[a] < h[b] : a > b;
+        }
+    };
+
+    LowerPriority order_;
+    std::vector<int> heap_;
+    std::vector<bool> queued_;
+};
+
+/**
  * Attempt one II. Returns true and fills @p state on success.
  */
 bool
 tryScheduleII(const BasicBlock &bb, const DepGraph &dg,
-              const Machine &machine, int ii, int budget,
-              ImsState &state)
+              const std::vector<int> &heights, const Machine &machine,
+              int ii, int budget, ImsState &state)
 {
     const int n = dg.numOps();
     state.cycleOf.assign(n, -1);
     state.slotOf.assign(n, kNoSlot);
     MRT mrt(ii);
 
-    const std::vector<int> heights = dg.heights();
-
-    // Worklist ordered by height (descending), then program order.
-    std::vector<int> order;
+    Worklist work(heights);
     for (int i = 0; i < n; ++i)
         if (bb.ops[i].op != Opcode::NOP)
-            order.push_back(i);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-        if (heights[a] != heights[b])
-            return heights[a] > heights[b];
-        return a < b;
-    });
+            work.push(i);
 
     std::vector<int> lastTried(n, -1);
-    std::vector<int> work = order;
     std::array<PredId, Machine::width> slotOwner{};
     slotOwner.fill(kNoPred);
 
@@ -94,14 +136,7 @@ tryScheduleII(const BasicBlock &bb, const DepGraph &dg,
         if (budget-- <= 0)
             return false;
         // Highest-priority unscheduled op.
-        std::sort(work.begin(), work.end(), [&](int a, int b) {
-            if (heights[a] != heights[b])
-                return heights[a] > heights[b];
-            return a < b;
-        });
-        const int op = work.front();
-        work.erase(work.begin());
-
+        const int op = work.pop();
         // Earliest start from scheduled predecessors.
         int estart = 0;
         for (int eidx : dg.preds(op)) {
@@ -171,7 +206,7 @@ tryScheduleII(const BasicBlock &bb, const DepGraph &dg,
             mrt.at(chosenT, chosenSlot) = -1;
             state.cycleOf[victim] = -1;
             state.slotOf[victim] = kNoSlot;
-            work.push_back(victim);
+            work.push(victim);
         }
 
         mrt.at(chosenT, chosenSlot) = op;
@@ -196,7 +231,7 @@ tryScheduleII(const BasicBlock &bb, const DepGraph &dg,
                 mrt.at(state.cycleOf[q], state.slotOf[q]) = -1;
                 state.cycleOf[q] = -1;
                 state.slotOf[q] = kNoSlot;
-                work.push_back(q);
+                work.push(q);
             }
         }
         for (int eidx : dg.preds(op)) {
@@ -206,22 +241,17 @@ tryScheduleII(const BasicBlock &bb, const DepGraph &dg,
                 mrt.at(state.cycleOf[q], state.slotOf[q]) = -1;
                 state.cycleOf[q] = -1;
                 state.slotOf[q] = kNoSlot;
-                work.push_back(q);
+                work.push(q);
             }
         }
-        // Deduplicate the worklist.
-        std::sort(work.begin(), work.end());
-        work.erase(std::unique(work.begin(), work.end()), work.end());
     }
     return true;
 }
 
 /** Modulo-variable-expansion factor from value lifetimes. */
 int
-computeMve(const BasicBlock &bb, const DepGraph &dg,
-           const ImsState &state, int ii)
+computeMve(const DepGraph &dg, const ImsState &state, int ii)
 {
-    (void)bb;
     int mve = 1;
     for (const auto &e : dg.edges()) {
         if (e.kind != DepKind::TRUE_)
@@ -244,11 +274,20 @@ SchedBlock
 moduloScheduleLoop(const BasicBlock &bb, const Machine &machine,
                    const ModuloOptions &opts, ModuloResult *outInfo)
 {
+    static const std::uint8_t graphRegion =
+        obs::prof::internRegion("schedule.depgraph");
+    static const std::uint8_t imsRegion =
+        obs::prof::internRegion("schedule.ims");
+
     SchedBlock sb;
     sb.irBlock = bb.id;
     sb.valid = true;
     sb.isLoopBody = true;
 
+    // Host-profiler attribution: the dependence graph and its
+    // analyses, then the II search.
+    std::optional<obs::prof::ScopedRegion> region(std::in_place,
+                                                  graphRegion);
     DepGraph dg(bb, /*loopCarried=*/true);
     const int resMII = computeResMII(bb, machine);
     const int recMII = dg.recMII();
@@ -267,8 +306,10 @@ moduloScheduleLoop(const BasicBlock &bb, const Machine &machine,
     if (realOps == 0)
         return sb;
 
+    const std::vector<int> heights = dg.heights();
+    region.emplace(imsRegion);
     for (; ii <= opts.maxII; ++ii) {
-        if (tryScheduleII(bb, dg, machine, ii,
+        if (tryScheduleII(bb, dg, heights, machine, ii,
                           opts.budgetRatio * realOps, state)) {
             ok = true;
             break;
@@ -312,7 +353,7 @@ moduloScheduleLoop(const BasicBlock &bb, const Machine &machine,
     // image growth) unnecessary.
     sb.mveFactor = opts.rotatingRegisters
                        ? 1
-                       : computeMve(bb, dg, state, ii);
+                       : computeMve(dg, state, ii);
     if (outInfo)
         outInfo->success = true;
     return sb;

@@ -154,13 +154,11 @@ inlineCallSite(Program &prog, FuncId callerId, BlockId bbId,
 }
 
 InlineStats
-inlineHotCalls(Program &prog, const Profile &profile,
-               const InlineOptions &opts)
+inlineHotCalls(Program &prog, const InlineOptions &opts)
 {
     // Block weights were annotated onto the IR by the profiler and
     // are copied to blocks created by earlier inlining steps, so the
     // IR annotations are the authoritative weight source here.
-    (void)profile;
     InlineStats st;
     const int original = prog.sizeOps();
     const int budget =

@@ -10,7 +10,6 @@
 #define LBP_TRANSFORM_INLINER_HH
 
 #include "ir/program.hh"
-#include "profile/profile.hh"
 
 namespace lbp
 {
@@ -34,11 +33,11 @@ struct InlineStats
 };
 
 /**
- * Inline hot call sites program-wide, hottest first, respecting the
- * expansion budget. Returns statistics.
+ * Inline hot call sites program-wide, hottest first by the block
+ * weights profileProgram annotated, respecting the expansion budget.
+ * Returns statistics.
  */
-InlineStats inlineHotCalls(Program &prog, const Profile &profile,
-                           const InlineOptions &opts = {});
+InlineStats inlineHotCalls(Program &prog, const InlineOptions &opts = {});
 
 /**
  * Inline a specific call site: the call at index @p opIdx of block

@@ -970,28 +970,23 @@ cmdProf(const Options &o)
                   100.0 * snap.attributedFraction());
     std::cout << "attributed:          " << frac << "\n\n";
 
-    std::cout << "  region                       samples   share\n";
+    // The label column fits the longest label.
+    size_t labelWidth = 6;
+    for (const auto &rc : snap.regions)
+        labelWidth = std::max(labelWidth, rc.label.size());
+    auto padded = [&](const std::string &label) {
+        return label + std::string(labelWidth + 1 - label.size(), ' ');
+    };
+    std::cout << "  " << padded("region") << "samples   share\n";
     for (const auto &rc : snap.regions) {
-        char share[32];
-        std::snprintf(share, sizeof(share), "%5.1f%%",
+        char cols[64];
+        std::snprintf(cols, sizeof(cols), "%7llu  %5.1f%%",
+                      static_cast<unsigned long long>(rc.count),
                       snap.samples
                           ? 100.0 * static_cast<double>(rc.count) /
                                 static_cast<double>(snap.samples)
                           : 0.0);
-        std::cout << "  " << rc.label
-                  << std::string(rc.label.size() < 28
-                                     ? 28 - rc.label.size()
-                                     : 1,
-                                 ' ')
-                  << std::string(rc.count < 10        ? 6
-                                 : rc.count < 100     ? 5
-                                 : rc.count < 1000    ? 4
-                                 : rc.count < 10000   ? 3
-                                 : rc.count < 100000  ? 2
-                                 : rc.count < 1000000 ? 1
-                                                      : 0,
-                                 ' ')
-                  << rc.count << "   " << share << "\n";
+        std::cout << "  " << padded(rc.label) << cols << "\n";
     }
 
     if (!o.outPath.empty()) {
