@@ -1,6 +1,7 @@
 #include "ir/interpreter.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "ir/semantics.hh"
 #include "support/logging.hh"
@@ -14,7 +15,66 @@ namespace
 /** Decoded opcode of an op that panics when it executes. */
 constexpr Opcode kTrap = Opcode::NUM_OPCODES;
 
+/**
+ * One predecoded op. Operand fields index the frame's value
+ * array; an unguarded op's guard indexes a constant 1.
+ */
+struct DecodedOp
+{
+    Opcode op = Opcode::NOP; ///< or kTrap
+    CmpCond cond = CmpCond::EQ;
+    PredDefKind defKind0 = PredDefKind::NONE;
+    PredDefKind defKind1 = PredDefKind::NONE;
+    /** Counts as a branch when nullified. */
+    bool branch = false;
+    bool speculative = false;
+    std::uint32_t guard = 0;
+    /** Sources; CALL/RET: a = offset into DecodedFunc::lists,
+     *  b = argument count, c = result count. */
+    std::uint32_t a = 0, b = 0, c = 0;
+    /** Destinations (registers, or predicates for PRED_DEF). */
+    std::uint32_t d0 = 0, d1 = 0;
+    /** Branch target block; callee for CALL; message for a trap. */
+    std::uint32_t target = 0;
+};
+
+struct DecodedBlock
+{
+    std::uint32_t begin = 0, end = 0; ///< range in DecodedFunc::ops
+    BlockId fallthrough = kNoBlock;
+    bool dead = false;
+};
+
 } // namespace
+
+struct Interpreter::DecodedFunc
+{
+    const Function *fn = nullptr;
+    std::vector<DecodedOp> ops;
+    std::vector<DecodedBlock> blocks; ///< indexed by BlockId
+    /** CALL argument/result and RET value index lists. */
+    std::vector<std::uint32_t> lists;
+    /** Frame layout: registers and predicates in [0, immBase),
+     *  then `imms`. */
+    std::uint32_t immBase = 0;
+    std::vector<std::int64_t> imms;
+    std::vector<std::string> traps;
+};
+
+/** Loop-count stack entry for hardware-loop semantics. */
+struct Interpreter::LoopEntry
+{
+    bool counted = false;
+    std::int64_t remaining = 0;
+    /** The loop head (REC/EXEC target); a taken transfer that
+     *  leaves the body cancels the context, like real
+     *  zero-overhead-loop hardware does. */
+    BlockId head = kNoBlock;
+    /** For EXEC_* entries: where to resume on loop exit. */
+    BlockId resumeBlock = kNoBlock;
+    std::uint32_t resumeOp = 0;
+    bool isExec = false;
+};
 
 std::uint64_t
 fnv1a(const std::uint8_t *data, size_t size)
@@ -30,6 +90,8 @@ fnv1a(const std::uint8_t *data, size_t size)
 Interpreter::Interpreter(const Program &prog) : prog_(prog)
 {
 }
+
+Interpreter::~Interpreter() = default;
 
 std::uint64_t
 Interpreter::hashRange(std::int64_t base, std::int64_t size) const
@@ -56,9 +118,9 @@ Interpreter::run(const std::vector<std::int64_t> &args)
     loops_.clear();
 
     std::int64_t *v = pushFrame(prog_.entryFunc, args.size(), 0);
-    const DecodedFunc &df = funcs_[prog_.entryFunc];
+    const Function &entry = prog_.functions[prog_.entryFunc];
     for (size_t i = 0; i < args.size(); ++i)
-        v[df.params[i]] = args[i];
+        v[entry.params[i]] = args[i];
     execute(prog_.entryFunc, 0);
 
     res_.returns = rets_;
@@ -80,11 +142,9 @@ Interpreter::decodeFunction(FuncId f)
     df.imms.assign(1, 1);
     const std::uint32_t one = df.immBase;
 
-    for (RegId p : fn.params) {
+    for (RegId p : fn.params)
         LBP_ASSERT(p < nregs, "register out of range r", p, " in ",
                    fn.name);
-        df.params.push_back(p);
-    }
 
     // The first failed check of the op being decoded.
     std::string trap;
@@ -138,12 +198,10 @@ Interpreter::decodeFunction(FuncId f)
             return fail("bad pred destination");
         return nregs + o.asPred();
     };
-    auto list = [&](const auto &operands, auto &&decodeOne) {
+    auto list = [&](size_t n, auto &&decodeOne) {
         const auto at = static_cast<std::uint32_t>(df.lists.size());
-        for (size_t i = 0; i < operands.size(); ++i) {
-            const std::uint32_t idx = decodeOne(i);
-            df.lists.push_back(idx);
-        }
+        for (size_t i = 0; i < n; ++i)
+            df.lists.push_back(decodeOne(i));
         return at;
     };
 
@@ -235,15 +293,15 @@ Interpreter::decodeFunction(FuncId f)
                     if (op.callee >= prog_.functions.size())
                         fail("call to unknown function in ", fn.name);
                     d.target = op.callee;
-                    d.a = list(op.srcs,
+                    d.a = list(op.srcs.size(),
                                [&](size_t i) { return src(op, i); });
-                    list(op.dsts,
+                    list(op.dsts.size(),
                          [&](size_t i) { return regDst(op, i); });
                     d.b = static_cast<std::uint32_t>(op.srcs.size());
                     d.c = static_cast<std::uint32_t>(op.dsts.size());
                     break;
                   case Opcode::RET:
-                    d.a = list(op.srcs,
+                    d.a = list(op.srcs.size(),
                                [&](size_t i) { return src(op, i); });
                     d.b = static_cast<std::uint32_t>(op.srcs.size());
                     break;
@@ -512,9 +570,10 @@ Interpreter::execute(FuncId f, size_t base)
             const size_t calleeBase = base + frameSize;
             std::int64_t *cv = pushFrame(op.target, op.b, calleeBase);
             v = vals_.data() + base; // pushFrame may have grown vals_
-            const DecodedFunc &cf = funcs_[op.target];
+            const std::vector<RegId> &params =
+                prog_.functions[op.target].params;
             for (std::uint32_t i = 0; i < op.b; ++i)
-                cv[cf.params[i]] = v[args[i]];
+                cv[params[i]] = v[args[i]];
             execute(op.target, calleeBase);
             v = vals_.data() + base;
             LBP_ASSERT(rets_.size() >= op.c,

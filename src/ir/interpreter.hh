@@ -30,7 +30,6 @@
 #define LBP_IR_INTERPRETER_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "ir/program.hh"
@@ -66,6 +65,7 @@ class Interpreter
 {
   public:
     explicit Interpreter(const Program &prog);
+    ~Interpreter();
 
     /** Cap on executed operations (guards against runaway loops). */
     void setMaxOps(std::uint64_t n) { maxOps_ = n; }
@@ -91,66 +91,8 @@ class Interpreter
     std::uint64_t hashRange(std::int64_t base, std::int64_t size) const;
 
   private:
-    /**
-     * One predecoded op. Operand fields index the frame's value
-     * array; an unguarded op's guard indexes a constant 1.
-     */
-    struct DecodedOp
-    {
-        Opcode op = Opcode::NOP; ///< NUM_OPCODES for a trap
-        CmpCond cond = CmpCond::EQ;
-        PredDefKind defKind0 = PredDefKind::NONE;
-        PredDefKind defKind1 = PredDefKind::NONE;
-        /** Counts as a branch when nullified. */
-        bool branch = false;
-        bool speculative = false;
-        std::uint32_t guard = 0;
-        /** Sources; CALL/RET: a = offset into DecodedFunc::lists,
-         *  b = argument count, c = result count. */
-        std::uint32_t a = 0, b = 0, c = 0;
-        /** Destinations (registers, or predicates for PRED_DEF). */
-        std::uint32_t d0 = 0, d1 = 0;
-        /** Branch target block; callee for CALL; message for a trap. */
-        std::uint32_t target = 0;
-    };
-
-    struct DecodedBlock
-    {
-        std::uint32_t begin = 0, end = 0; ///< range in DecodedFunc::ops
-        BlockId fallthrough = kNoBlock;
-        bool dead = false;
-    };
-
-    struct DecodedFunc
-    {
-        const Function *fn = nullptr;
-        std::vector<DecodedOp> ops;
-        std::vector<DecodedBlock> blocks; ///< indexed by BlockId
-        /** CALL argument/result and RET value index lists. */
-        std::vector<std::uint32_t> lists;
-        /** Value index of each parameter register. */
-        std::vector<std::uint32_t> params;
-        /** Frame layout: registers and predicates in [0, immBase),
-         *  then `imms`. */
-        std::uint32_t immBase = 0;
-        std::vector<std::int64_t> imms;
-        std::vector<std::string> traps;
-    };
-
-    /** Loop-count stack entry for hardware-loop semantics. */
-    struct LoopEntry
-    {
-        bool counted = false;
-        std::int64_t remaining = 0;
-        /** The loop head (REC/EXEC target); a taken transfer that
-         *  leaves the body cancels the context, like real
-         *  zero-overhead-loop hardware does. */
-        BlockId head = kNoBlock;
-        /** For EXEC_* entries: where to resume on loop exit. */
-        BlockId resumeBlock = kNoBlock;
-        std::uint32_t resumeOp = 0;
-        bool isExec = false;
-    };
+    struct DecodedFunc;
+    struct LoopEntry;
 
     void decodeFunction(FuncId f);
     std::int64_t *pushFrame(FuncId f, size_t nargs, size_t base);

@@ -338,6 +338,37 @@ TEST(Interp, CallsAndReturns)
     EXPECT_EQ(runReturn(prog), 81);
 }
 
+TEST(Interp, CallsWithLongOperandLists)
+{
+    // Five arguments and four results: lists past the three inline
+    // operands of an op.
+    Program prog;
+    const FuncId callee = prog.newFunction("mix");
+    {
+        Function &fn = prog.functions[callee];
+        std::vector<RegId> p;
+        for (int i = 0; i < 5; ++i)
+            p.push_back(fn.newReg());
+        fn.params = p;
+        fn.numReturns = 4;
+        IRBuilder b(prog, callee);
+        const RegId s = b.add(Operand::reg(p[0]), Operand::reg(p[4]));
+        b.ret({Operand::reg(s), Operand::reg(p[1]), Operand::reg(p[2]),
+               Operand::imm(-1)});
+    }
+    const FuncId mainF = prog.newFunction("main");
+    prog.entryFunc = mainF;
+    IRBuilder b(prog, mainF);
+    auto r = b.call(callee,
+                    {Operand::imm(1), Operand::imm(2), Operand::imm(3),
+                     Operand::imm(4), Operand::imm(5)},
+                    4);
+    b.ret({Operand::reg(r[0]), Operand::reg(r[1]), Operand::reg(r[2]),
+           Operand::reg(r[3])});
+    EXPECT_EQ(Interpreter(prog).run().returns,
+              (std::vector<std::int64_t>{6, 2, 3, -1}));
+}
+
 TEST(Interp, SpeculativeLoadReturnsZeroOutOfRange)
 {
     Program prog;

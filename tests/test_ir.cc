@@ -90,6 +90,34 @@ TEST(Operation, ReadsWrites)
     EXPECT_EQ(op.numRegSrcs(), 1);
 }
 
+TEST(Operation, OperandListSpillsPastThreeInline)
+{
+    // CALL/RET lists longer than the three inline operands move to the
+    // heap; copies, moves and reassignment keep every operand.
+    OperandList l{Operand::reg(1), Operand::imm(2)};
+    for (int i = 3; i <= 6; ++i)
+        l.push_back(Operand::reg(static_cast<RegId>(i)));
+    ASSERT_EQ(l.size(), 6u);
+    EXPECT_EQ(l[1], Operand::imm(2));
+    EXPECT_EQ(l[5], Operand::reg(6));
+
+    OperandList copy = l;
+    OperandList moved = std::move(l);
+    EXPECT_TRUE(l.empty());
+    std::vector<Operand> seen(moved.begin(), moved.end());
+    EXPECT_EQ(seen, std::vector<Operand>(copy.begin(), copy.end()));
+
+    OperandList small{Operand::imm(7)};
+    moved = std::move(small);
+    ASSERT_EQ(moved.size(), 1u);
+    EXPECT_EQ(moved[0], Operand::imm(7));
+    copy = std::vector<Operand>{Operand::reg(9), Operand::reg(8)};
+    EXPECT_EQ(copy.size(), 2u);
+    EXPECT_EQ(copy[1], Operand::reg(8));
+    copy.clear();
+    EXPECT_TRUE(copy.empty());
+}
+
 TEST(Function, BlocksAndRpo)
 {
     Program prog;
