@@ -113,7 +113,8 @@ class OperandList
     const Operand *begin() const { return data_; }
     const Operand *end() const { return data_ + size_; }
 
-    void push_back(const Operand &o)
+    /** By value: @p o may be one of this list's own operands. */
+    void push_back(Operand o)
     {
         if (size_ == cap_)
             reserve(2 * size_);
