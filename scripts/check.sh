@@ -4,10 +4,10 @@
 # ASan+UBSan build running the observability surface (obs-labeled
 # tests + a traced workload through lbp_stats), since the trace ring
 # and JSON parser are exactly the kind of index-arithmetic code
-# sanitizers pay for — plus the engine differential under the
-# LBP_SIM_NO_TRACE_CACHE and LBP_SIM_NO_PRED_REPLAY env overrides, so
-# the predicated replay path, the fast-tier-only cache, and the
-# general decoded path all run sanitized, and the compile path's
+# sanitizers pay for — plus the engine differential, which forces the
+# trace cache and the predicated replay tier on and off inside the
+# test, so the predicated replay path, the fast-tier-only cache, and
+# the general decoded path all run sanitized, and the compile path's
 # Interp/Modulo/Compiler/Inliner tests — then a TSan build of the
 # same surface (concurrent registry updates, and the self-profiler's
 # signal-handler-vs-marker concurrency through
@@ -43,14 +43,10 @@ cmake --build "$BUILD" -j "$(nproc)"
 ctest --test-dir "$BUILD" --output-on-failure
 
 # Engine differential: decoded fast path vs reference interpreter
-# (internally runs the trace cache forced on and forced off), then
-# once more with the cache disabled through the env override so the
-# Auto-mode wiring is exercised too.
+# (internally runs the trace cache forced on and forced off, and the
+# predicated replay tier on and off).
 "$BUILD"/tests/lbp_sim_tests --gtest_filter='*EngineDifferential*' \
     --gtest_brief=1
-LBP_SIM_NO_TRACE_CACHE=1 \
-    "$BUILD"/tests/lbp_sim_tests \
-    --gtest_filter='*EngineDifferential*' --gtest_brief=1
 
 # Self-profiler smoke: region table, attribution line, collapsed
 # stacks. Exit 1 with a clear message is acceptable only on kernels
@@ -77,18 +73,11 @@ cmake -B "$SAN_BUILD" -S . \
 cmake --build "$SAN_BUILD" -j "$(nproc)" \
     --target lbp_tests lbp_obs_tests lbp_sim_tests lbp_stats
 ctest --test-dir "$SAN_BUILD" --output-on-failure -L obs
-# Sanitized engine differential with the trace cache disabled by env:
-# Auto resolves to off (general path sanitized), while the test's own
-# force-on leg keeps the replay path sanitized in the same run.
-LBP_SIM_NO_TRACE_CACHE=1 \
-    "$SAN_BUILD"/tests/lbp_sim_tests \
-    --gtest_filter='*EngineDifferential*' --gtest_brief=1
-# Same differential with predicated replay disabled by env: Auto
-# resolves to fast-tier-only, sanitizing the strict classifier and
-# the escape hatch itself (the test's force-on leg keeps the
-# predicated replay path covered in the same run).
-LBP_SIM_NO_PRED_REPLAY=1 \
-    "$SAN_BUILD"/tests/lbp_sim_tests \
+# Sanitized engine differential: the test itself runs the decoded
+# engine with the trace cache on and off and the predicated replay
+# tier on and off, so the replay paths, the strict classifier and the
+# general path are all sanitized in one run.
+"$SAN_BUILD"/tests/lbp_sim_tests \
     --gtest_filter='*EngineDifferential*' --gtest_brief=1
 # The INT64_MIN / -1 repro under UBSan, by name: every executor and
 # the constant folder must produce the defined value, never perform
@@ -143,13 +132,10 @@ cmake -B "$TSAN_BUILD" -S . \
 cmake --build "$TSAN_BUILD" -j "$(nproc)" \
     --target lbp_obs_tests lbp_sim_tests lbp_stats
 ctest --test-dir "$TSAN_BUILD" --output-on-failure -L obs
-# Engine differential under TSan with predicated replay disabled by
-# env (same leg as the ASan pass): the sim is single-threaded, but
-# the differential drives the decoded engine through the threaded
-# dispatch tables, and the env override must behave identically in
-# every instrumented build.
-LBP_SIM_NO_PRED_REPLAY=1 \
-    "$TSAN_BUILD"/tests/lbp_sim_tests \
+# Engine differential under TSan (same leg as the ASan pass): the
+# sim is single-threaded, but the differential drives the decoded
+# engine through the threaded dispatch tables in every replay mode.
+"$TSAN_BUILD"/tests/lbp_sim_tests \
     --gtest_filter='*EngineDifferential*' --gtest_brief=1
 # Profiler under TSan, by name (same cases as the ASan leg).
 "$TSAN_BUILD"/tests/lbp_obs_tests \

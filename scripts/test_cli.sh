@@ -16,8 +16,8 @@
 #   cycles_golden `loops --cycles` appends the per-loop cycle stack
 #                 (counters only, fully deterministic) and matches the
 #                 golden verbatim.
-#   explain_delta `explain` between a trace-cache-off and a
-#                 trace-cache-on dump of the same workload reports a
+#   explain_delta `explain` between a reference-engine and a decoded
+#                 (trace cache on) dump of the same workload reports a
 #                 zero total cycle delta with the issue split moving
 #                 into issueFromTraceReplay; self-explain reports
 #                 identical stacks.
@@ -41,6 +41,9 @@
 #                 `explain` on a document without cycle-class keys is
 #                 a diagnosable input error: exit 2, the message names
 #                 the offending file and lists the expected leaves.
+#   trace_engine  `trace` runs the reference engine and says so; any
+#                 --engine is a usage error (exit 2, the message names
+#                 the reference engine) and writes no trace.
 #   version       `--version` prints both schema versions, and the same
 #                 git SHA is stamped into every emitted JSON document.
 set -u
@@ -81,17 +84,17 @@ case "$CASE" in
     ;;
 
   explain_delta)
-    # The same workload with the trace cache off vs on: identical
-    # cycles (the engines are pinned), but the issue split moves into
-    # the replay class — exactly the movement `explain` exists to
-    # decompose.
-    LBP_SIM_NO_TRACE_CACHE=1 "$LBP_STATS" run adpcm_dec --buffer=256 \
-        --json="$TMP/off.json" > /dev/null \
-        || fail "lbp_stats run (cache off) exited nonzero"
+    # The same workload on the reference engine vs the decoded one
+    # with its trace cache: identical cycles (the engines are pinned),
+    # but the issue split moves into the replay class — exactly the
+    # movement `explain` exists to decompose.
+    "$LBP_STATS" run adpcm_dec --buffer=256 --engine=reference \
+        --json="$TMP/ref.json" > /dev/null \
+        || fail "lbp_stats run (reference) exited nonzero"
     "$LBP_STATS" run adpcm_dec --buffer=256 --json="$TMP/on.json" \
         > /dev/null || fail "lbp_stats run (cache on) exited nonzero"
 
-    "$LBP_STATS" explain "$TMP/off.json" "$TMP/on.json" \
+    "$LBP_STATS" explain "$TMP/ref.json" "$TMP/on.json" \
         > "$TMP/explain.txt" || fail "explain exited nonzero"
     grep -q 'cycle delta:' "$TMP/explain.txt" \
         || fail "explain should print the delta header"
@@ -104,6 +107,22 @@ case "$CASE" in
         > "$TMP/same.txt" || fail "self-explain exited nonzero"
     grep -q 'stacks are identical' "$TMP/same.txt" \
         || fail "self-explain should report identical stacks"
+    ;;
+
+  trace_engine)
+    "$LBP_STATS" trace adpcm_dec --out="$TMP/t.json" > "$TMP/t.txt" \
+        || fail "lbp_stats trace exited nonzero"
+    grep -q '^engine: *reference$' "$TMP/t.txt" \
+        || fail "trace should report the reference engine"
+    [ -s "$TMP/t.json" ] || fail "trace wrote no output"
+
+    "$LBP_STATS" trace adpcm_dec --engine=decoded \
+        --out="$TMP/d.json" > /dev/null 2> "$TMP/err.txt"
+    rc=$?
+    [ $rc -eq 2 ] || fail "trace --engine=decoded exited $rc, want 2"
+    grep -q 'reference engine' "$TMP/err.txt" \
+        || fail "error should say tracing runs on the reference engine"
+    [ -e "$TMP/d.json" ] && fail "a refused trace must write no file"
     ;;
 
   diff_exit)

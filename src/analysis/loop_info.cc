@@ -147,30 +147,6 @@ LoopInfo::isSimple(int idx) const
 }
 
 void
-LoopInfo::attachProfile(const Function &fn)
-{
-    auto preds = fn.predecessors();
-    for (auto &l : loops_) {
-        l.iterations = fn.blocks[l.header].weight;
-        // Invocations = header entries from outside the loop. With
-        // a block-weight-only profile, approximate entry weight as
-        // header weight minus latch weights (exact when the latch
-        // branch is the only backedge source and executes once per
-        // iteration).
-        double latch_w = 0;
-        for (BlockId latch : l.latches) {
-            // Weight of backedge traversals is bounded by latch
-            // executions; use latch weight as the estimate.
-            latch_w += fn.blocks[latch].weight;
-        }
-        l.invocations = std::max(0.0, l.iterations - latch_w);
-        // Loops always entered at least once if the header ran.
-        if (l.iterations > 0 && l.invocations <= 0)
-            l.invocations = 1;
-    }
-}
-
-void
 LoopInfo::analyzeInduction(const Function &fn, Loop &loop)
 {
     InductionInfo info;

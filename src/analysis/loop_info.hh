@@ -52,16 +52,7 @@ struct Loop
 
     InductionInfo induction;
 
-    /** Profile: total header entries (loop invocations). */
-    double invocations = 0.0;
-    /** Profile: total iterations (header executions). */
-    double iterations = 0.0;
-
     bool contains(BlockId b) const;
-
-    /** Average trip count per invocation (profile-derived). */
-    double avgTrip() const
-    { return invocations > 0 ? iterations / invocations : 0.0; }
 };
 
 /** Loop forest of one function. */
@@ -76,18 +67,12 @@ class LoopInfo
     /** Innermost loop containing @p b, or -1. */
     int loopOf(BlockId b) const;
 
-    /** True if loop @p idx contains no other loop. */
-    bool isInnermost(int idx) const { return loops_[idx].children.empty(); }
-
     /**
      * A "simple" loop: single block that is both header and latch,
      * whose only internal control is the loop-back branch — the shape
      * a loop buffer can hold.
      */
     bool isSimple(int idx) const;
-
-    /** Populate Loop::invocations/iterations from block weights. */
-    void attachProfile(const Function &fn);
 
   private:
     void analyzeInduction(const Function &fn, Loop &loop);

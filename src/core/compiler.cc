@@ -99,11 +99,9 @@ transformProgram(Program &prog, const CompileOptions &opts,
     };
 
     // 2. Profile-guided inlining (<= 50% expansion, per the paper).
-    if (opts.doInline) {
-        stage("02_inline", plain, [&] {
-            out.inlineStats = inlineHotCalls(prog);
-        });
-    }
+    stage("02_inline", plain, [&] {
+        out.inlineStats = inlineHotCalls(prog);
+    });
 
     // 3. Classic optimization + height reduction (reassociation is
     //    part of the paper's "traditional loop optimizations" and the

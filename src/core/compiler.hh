@@ -62,7 +62,6 @@ enum class OptLevel
 struct CompileOptions
 {
     OptLevel level = OptLevel::Aggressive;
-    bool doInline = true;
     bool moduloSchedule = true;
     bool slotLowering = true;   ///< only meaningful for Aggressive
     int bufferOps = 256;

@@ -17,16 +17,6 @@ Function::newBlock(const std::string &bname)
     return blocks.back().id;
 }
 
-std::vector<BlockId>
-Function::liveBlocks() const
-{
-    std::vector<BlockId> out;
-    for (const auto &b : blocks)
-        if (!b.dead)
-            out.push_back(b.id);
-    return out;
-}
-
 std::vector<std::vector<BlockId>>
 Function::predecessors() const
 {

@@ -56,9 +56,6 @@ class Function
     BasicBlock &block(BlockId b) { return blocks[b]; }
     const BasicBlock &block(BlockId b) const { return blocks[b]; }
 
-    /** Ids of all live (non-dead) blocks. */
-    std::vector<BlockId> liveBlocks() const;
-
     /** Predecessor map: preds[b] = blocks with an edge into b. */
     std::vector<std::vector<BlockId>> predecessors() const;
 

@@ -91,20 +91,6 @@ predDefKindName(PredDefKind k)
     }
 }
 
-const char *
-unitClassName(UnitClass u)
-{
-    switch (u) {
-      case UnitClass::IALU: return "Ialu";
-      case UnitClass::IMUL: return "Imul";
-      case UnitClass::MEM: return "Mem";
-      case UnitClass::BR: return "Br";
-      case UnitClass::FPU: return "F";
-      case UnitClass::PRED: return "Pred";
-      default: LBP_PANIC("bad unit class");
-    }
-}
-
 bool
 isControl(Opcode op)
 {

@@ -86,7 +86,6 @@ enum class UnitClass : std::uint8_t
 const char *opcodeName(Opcode op);
 const char *condName(CmpCond c);
 const char *predDefKindName(PredDefKind k);
-const char *unitClassName(UnitClass u);
 
 /** True for branches, calls, returns, and buffer-management ops. */
 bool isControl(Opcode op);

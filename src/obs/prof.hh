@@ -27,8 +27,7 @@
  * runtime-off until Profiler::start(); an idle ScopedRegion is two
  * relaxed stores. -DLBP_PROF=0 stubs out everything below, and the
  * profiler never writes any sim/registry counter in either mode, so
- * disabled runs are bit-identical — tests/test_obs_prof.cc proves it
- * the same way the LBP_TRACE untraced-TU discipline is proved.
+ * disabled runs are bit-identical — tests/test_obs_prof.cc proves it.
  */
 
 #ifndef LBP_OBS_PROF_HH
@@ -125,26 +124,6 @@ inline bool
 compiledIn()
 {
     return LBP_PROF != 0;
-}
-
-/**
- * Raw cycle counter for rdtsc-windowed attribution (decoded-engine
- * per-ExecHandler profiling). Returns 0 on targets without a cheap
- * userspace counter — the windows then degenerate to zero and the
- * table simply reports nothing.
- */
-inline std::uint64_t
-tsc()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    return __builtin_ia32_rdtsc();
-#elif defined(__aarch64__)
-    std::uint64_t v;
-    asm volatile("mrs %0, cntvct_el0" : "=r"(v));
-    return v;
-#else
-    return 0;
-#endif
 }
 
 /**

@@ -14,48 +14,6 @@ namespace lbp
 namespace obs
 {
 
-double
-Histogram::total() const
-{
-    double t = 0;
-    for (const auto &kv : bins_)
-        t += kv.second;
-    return t;
-}
-
-double
-Histogram::mean() const
-{
-    double t = 0, wsum = 0;
-    for (const auto &kv : bins_) {
-        t += static_cast<double>(kv.first) * kv.second;
-        wsum += kv.second;
-    }
-    return wsum > 0 ? t / wsum : 0.0;
-}
-
-std::int64_t
-Histogram::maxValue() const
-{
-    return bins_.empty() ? 0 : bins_.rbegin()->first;
-}
-
-std::int64_t
-Histogram::percentile(double q) const
-{
-    if (bins_.empty())
-        return 0;
-    q = std::min(1.0, std::max(0.0, q));
-    const double target = q * total();
-    double cum = 0;
-    for (const auto &kv : bins_) {
-        cum += kv.second;
-        if (cum >= target)
-            return kv.first;
-    }
-    return bins_.rbegin()->first;
-}
-
 void
 Registry::checkFresh(const std::string &name, const void *self) const
 {

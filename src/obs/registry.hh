@@ -13,7 +13,8 @@
  *  - Counter:  monotonically-accumulated uint64 (cycles, ops);
  *  - IntGauge: signed 64-bit level (deltas, addresses, return values);
  *  - Gauge:    double level (fractions, milliseconds, nanojoules);
- *  - Histogram: weighted integer-binned distribution.
+ *  - Histogram: weighted integer-binned distribution
+ *    (lbp::Histogram, support/stats.hh).
  *
  * Free-form string annotations ("info") carry identity metadata
  * (workload, engine, machine) and land in the dump's "meta" block.
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "obs/json.hh"
+#include "support/stats.hh"
 
 namespace lbp
 {
@@ -71,31 +73,6 @@ class Gauge
 
   private:
     double v_ = 0;
-};
-
-/** Weighted histogram over integer bins (obs twin of support/stats). */
-class Histogram
-{
-  public:
-    void add(std::int64_t v, double weight = 1.0)
-    { bins_[v] += weight; }
-
-    double total() const;
-    double mean() const;
-    std::int64_t maxValue() const;
-
-    /**
-     * Weighted nearest-rank quantile: the smallest bin value whose
-     * cumulative weight reaches q * total (q in [0, 1]). Empty
-     * histograms yield 0.
-     */
-    std::int64_t percentile(double q) const;
-    bool empty() const { return bins_.empty(); }
-    const std::map<std::int64_t, double> &bins() const
-    { return bins_; }
-
-  private:
-    std::map<std::int64_t, double> bins_;
 };
 
 class Registry

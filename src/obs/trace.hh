@@ -1,6 +1,8 @@
 /**
  * @file
- * Cycle-level event tracing for the simulator engines.
+ * Cycle-level event tracing for the simulator. Tracing runs on the
+ * reference engine; VliwSim refuses a sink on the decoded engine,
+ * whose SimStats the engine differential pins to the reference's.
  *
  * A TraceSink is a fixed-capacity single-writer ring buffer of POD
  * TraceEvents. The simulator is single-threaded per VliwSim instance

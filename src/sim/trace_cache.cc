@@ -699,7 +699,7 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
         std::size_t bi = 0;
         for (;;) {
             const TraceBundle &tb = buBase[bi];
-            LBP_ASSERT(++bundlesExecuted_ <= cfg_.maxBundles,
+            LBP_ASSERT(++bundlesExecuted_ <= kMaxBundles,
                        "bundle budget exceeded");
             ++stats_.bundles;
             ++stats_.cycles;
@@ -766,7 +766,7 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
         const std::uint64_t n =
             static_cast<std::uint64_t>(ctx.remaining);
         bundlesExecuted_ += n * tr.bundlesPerIter;
-        LBP_ASSERT(bundlesExecuted_ <= cfg_.maxBundles,
+        LBP_ASSERT(bundlesExecuted_ <= kMaxBundles,
                    "bundle budget exceeded");
         stats_.bundles += n * tr.bundlesPerIter;
         stats_.cycles += n * tr.bundlesPerIter;
@@ -792,7 +792,7 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
         outcome = ReplayOutcome::WloopExit;
         for (;;) {
             bundlesExecuted_ += tr.bundlesPerIter;
-            LBP_ASSERT(bundlesExecuted_ <= cfg_.maxBundles,
+            LBP_ASSERT(bundlesExecuted_ <= kMaxBundles,
                        "bundle budget exceeded");
             stats_.bundles += tr.bundlesPerIter;
             stats_.cycles += tr.bundlesPerIter;

@@ -223,8 +223,7 @@ struct LoopCtx;
  * backedges and side-exit control ops (BR/JUMP leaving the loop) pass,
  * while nested loops, second backedges, and calls stay named; without
  * it the legacy strict verdicts (GuardedBackedge, MultiControlOp) are
- * produced, which is what the LBP_SIM_NO_PRED_REPLAY escape hatch
- * reverts to. Pure classification — no trace is built, no counters
+ * produced, which is what PredReplayMode::Off reverts to. Pure classification — no trace is built, no counters
  * move. Exposed so tests can probe the taxonomy against synthetic
  * decoded images without driving a full activation;
  * TraceCache::build() derives its Untraceable verdicts from exactly

@@ -1,7 +1,6 @@
 #include "sim/vliw_sim.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "ir/interpreter.hh"
 #include "ir/semantics.hh"
@@ -14,62 +13,6 @@
 namespace lbp
 {
 
-namespace
-{
-
-/** Resolve the three-state trace-cache config against the env. */
-bool
-traceCacheEnabled(const SimConfig &cfg)
-{
-    switch (cfg.traceCache) {
-      case TraceCacheMode::On:
-        return true;
-      case TraceCacheMode::Off:
-        return false;
-      case TraceCacheMode::Auto: {
-        const char *e = std::getenv("LBP_SIM_NO_TRACE_CACHE");
-        return !(e && *e);
-      }
-    }
-    return true;
-}
-
-/** Resolve the predicated-replay tier config against the env. */
-bool
-predReplayEnabled(const SimConfig &cfg)
-{
-    switch (cfg.predReplay) {
-      case PredReplayMode::On:
-        return true;
-      case PredReplayMode::Off:
-        return false;
-      case PredReplayMode::Auto: {
-        const char *e = std::getenv("LBP_SIM_NO_PRED_REPLAY");
-        return !(e && *e);
-      }
-    }
-    return true;
-}
-
-/**
- * The counted-loop replay engage threshold: the config value, unless
- * LBP_SIM_REPLAY_MIN_ITERS holds a fully parsed non-negative integer.
- */
-std::int64_t
-replayMinItersResolved(const SimConfig &cfg)
-{
-    const char *e = std::getenv("LBP_SIM_REPLAY_MIN_ITERS");
-    if (e && *e) {
-        char *end = nullptr;
-        const long long v = std::strtoll(e, &end, 10);
-        if (end && *end == '\0' && v >= 0)
-            return static_cast<std::int64_t>(v);
-    }
-    return cfg.replayMinIters;
-}
-
-} // namespace
-
 VliwSim::VliwSim(const SchedProgram &code, const SimConfig &cfg)
     : VliwSim(code, cfg, nullptr)
 {
@@ -80,6 +23,9 @@ VliwSim::VliwSim(const SchedProgram &code, const SimConfig &cfg,
     : code_(code), cfg_(cfg), buffer_(cfg.bufferOps)
 {
     LBP_ASSERT(code_.ir != nullptr, "SchedProgram without IR link");
+    if (cfg_.trace && cfg_.engine == SimEngine::DECODED)
+        LBP_FATAL("event tracing runs on the reference engine: set "
+                  "SimConfig::engine = SimEngine::REFERENCE to trace");
     if (image) {
         loopTable_ = &image->loops;
         decoded_ = &image->program;
@@ -95,12 +41,12 @@ VliwSim::VliwSim(const SchedProgram &code, const SimConfig &cfg,
             decoded_ = ownedDecoded_.get();
         }
     }
-    cfg_.replayMinIters = replayMinItersResolved(cfg_);
-    if (cfg_.engine == SimEngine::DECODED && traceCacheEnabled(cfg_))
+    if (cfg_.engine == SimEngine::DECODED &&
+        cfg_.traceCache == TraceCacheMode::On)
         traceCache_ = std::make_unique<TraceCache>(
             loopTable_->keys.size(),
             cfg_.predMode == PredMode::SLOT,
-            predReplayEnabled(cfg_));
+            cfg_.predReplay == PredReplayMode::On);
     slotPred_.fill(1);
 }
 
@@ -189,7 +135,6 @@ VliwSim::run(const std::vector<std::int64_t> &args)
     if (traceCache_)
         traceCache_->resetRunStats();
     slotPred_.fill(1);
-    opProfCycles_.fill(0);
 
     obs::prof::ScopedRegion profRegion(
         cfg_.engine == SimEngine::DECODED
@@ -215,7 +160,7 @@ VliwSim::callFunction(FuncId f, const std::vector<std::int64_t> &args)
     LBP_ASSERT(args.size() == fn.params.size(),
                "arg count mismatch calling ", fn.name);
 
-    obs::TraceSink *const ts = cfg_.trace;
+    [[maybe_unused]] obs::TraceSink *const ts = cfg_.trace;
 
     Frame fr;
     fr.fn = &fn;
@@ -266,7 +211,7 @@ VliwSim::callFunction(FuncId f, const std::vector<std::int64_t> &args)
         }
 
         const Bundle &bu = sb.bundles[curBu];
-        LBP_ASSERT(++bundlesExecuted_ <= cfg_.maxBundles,
+        LBP_ASSERT(++bundlesExecuted_ <= kMaxBundles,
                    "bundle budget exceeded");
         ++stats_.bundles;
         ++stats_.cycles;

@@ -137,34 +137,24 @@ struct SimStats
 };
 
 /**
- * Resident-loop trace cache control (decoded engine only).
- *
- * Auto — the default — enables the cache unless the
- * LBP_SIM_NO_TRACE_CACHE environment variable is set non-empty (the
- * scripts/check.sh hook for exercising the general path under
- * sanitizers). On/Off force it regardless of the environment, which
- * the differential tests use to pin both paths.
+ * Resident-loop trace cache control (decoded engine only). On is the
+ * default; the differential tests pin Off against it and against the
+ * reference engine.
  */
 enum class TraceCacheMode
 {
-    Auto,
     On,
     Off,
 };
 
 /**
  * Predicated trace replay control (decoded engine, trace cache on).
- *
- * Auto — the default — enables the predicated tier unless the
- * LBP_SIM_NO_PRED_REPLAY environment variable is set non-empty (the
- * CI/check.sh hook for exercising the legacy strict gating under the
- * full test matrix). On/Off force it regardless of the environment;
- * the engine-differential test pins the off leg against reference,
+ * On is the default; Off keeps only the strict fast tier, and the
+ * engine-differential test pins that leg against reference,
  * cache-on and cache-off.
  */
 enum class PredReplayMode
 {
-    Auto,
     On,
     Off,
 };
@@ -196,7 +186,6 @@ struct SimConfig
      */
     PredMode predMode = PredMode::SLOT;
     int branchPenalty = 4;
-    std::uint64_t maxBundles = 4'000'000'000ull;
 
     /**
      * DECODED is the production fast path; REFERENCE is kept as the
@@ -205,36 +194,23 @@ struct SimConfig
     SimEngine engine = SimEngine::DECODED;
 
     /** Resident-loop trace cache (see TraceCacheMode). */
-    TraceCacheMode traceCache = TraceCacheMode::Auto;
+    TraceCacheMode traceCache = TraceCacheMode::On;
 
     /** Predicated trace replay tier (see PredReplayMode). */
-    PredReplayMode predReplay = PredReplayMode::Auto;
+    PredReplayMode predReplay = PredReplayMode::On;
 
     /**
      * Minimum remaining iterations for a counted loop to engage trace
      * replay (see kMinCountedReplayIters for the tuning rationale).
-     * The LBP_SIM_REPLAY_MIN_ITERS environment variable, when set to
-     * a non-negative integer, overrides this at VliwSim construction.
      */
     std::int64_t replayMinIters = kMinCountedReplayIters;
 
     /**
-     * Cycle-level event tracing (obs/trace.hh). Null — the default —
-     * costs one predicted branch per emission site; both engines
-     * emit identical event streams for the same program, which the
-     * obs tests assert differentially.
+     * Cycle-level event tracing (obs/trace.hh), a reference-engine
+     * feature: VliwSim refuses a sink on the DECODED engine. Null —
+     * the default — costs one predicted branch per emission site.
      */
     obs::TraceSink *trace = nullptr;
-
-    /**
-     * Per-ExecHandler-kind rdtsc attribution in the decoded engine
-     * (read back via VliwSim::opProfCycles). Routes the run through
-     * the Traced instantiation — where trace replay never engages —
-     * so the production untraced stamp stays free of timing code;
-     * SimStats remain bit-identical either way. Effective only when
-     * both LBP_TRACE and LBP_PROF are compiled in.
-     */
-    bool opProf = false;
 };
 
 struct DecodedProgram;
@@ -336,7 +312,7 @@ class VliwSim
 
     /**
      * Trace-cache side counters for the last run; null when the cache
-     * is disabled (config, env override, or REFERENCE engine).
+     * is disabled (config or REFERENCE engine).
      */
     const TraceCacheStats *traceCacheStats() const;
 
@@ -349,20 +325,10 @@ class VliwSim
      */
     const obs::CycleStack &cycleStack() const { return cycleStack_; }
 
-    /**
-     * Per-ExecHandler rdtsc windows from the last SimConfig::opProf
-     * run, indexed by ExecHandler value (kOpProfSlots entries; zeros
-     * when op profiling was off or not compiled in). A "window" is
-     * the cycle span from one op's dispatch to the next op's — the
-     * handler body plus its share of dispatch overhead.
-     */
-    static constexpr std::size_t kOpProfSlots = 16;
-    const std::uint64_t *opProfCycles() const
-    {
-        return opProfCycles_.data();
-    }
-
   private:
+    /** Runaway guard: a run that issues more bundles panics. */
+    static constexpr std::uint64_t kMaxBundles = 4'000'000'000ull;
+
     struct Frame
     {
         const Function *fn = nullptr;
@@ -380,19 +346,8 @@ class VliwSim
         FuncId f, const std::vector<std::int64_t> &args);
 
     /**
-     * The decoded executor body, stamped out twice: Traced=false is
-     * the production hot path with every emission site compiled out
-     * (bit-identical code to a build without tracing), Traced=true
-     * carries the trace hooks. callFunctionDecoded dispatches on
-     * cfg_.trace once per call, not per bundle.
-     */
-    template <bool Traced>
-    std::vector<std::int64_t> callFunctionDecodedImpl(
-        FuncId f, const std::vector<std::int64_t> &args);
-
-    /**
      * Replay the resident loop on top of the loop stack from its
-     * cached trace (trace_cache.cc). Called from the untraced decoded
+     * cached trace (trace_cache.cc). Called from the decoded
      * body when fetch arrives at bundle 0 of the loop head, so every
      * engagement starts at a whole iteration. NotEngaged means the
      * body is untraceable and the general path must run it.
@@ -487,9 +442,6 @@ class VliwSim
 
     /** Slot standing predicates (physical machine state). */
     std::array<std::uint8_t, Machine::width> slotPred_;
-
-    /** See opProfCycles(); written only by the Traced stamp. */
-    std::array<std::uint64_t, kOpProfSlots> opProfCycles_{};
 };
 
 } // namespace lbp

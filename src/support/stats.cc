@@ -1,5 +1,6 @@
 #include "support/stats.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -53,6 +54,22 @@ Histogram::cumulativeAt(std::int64_t v) const
         acc += w;
     }
     return acc / t;
+}
+
+std::int64_t
+Histogram::percentile(double q) const
+{
+    if (bins_.empty())
+        return 0;
+    q = std::min(1.0, std::max(0.0, q));
+    const double target = q * total();
+    double cum = 0;
+    for (const auto &[val, w] : bins_) {
+        cum += w;
+        if (cum >= target)
+            return val;
+    }
+    return bins_.rbegin()->first;
 }
 
 std::vector<std::pair<std::int64_t, double>>

@@ -36,6 +36,13 @@ class Histogram
     double cumulativeAt(std::int64_t v) const;
 
     /**
+     * Weighted nearest-rank quantile: the smallest bin value whose
+     * cumulative weight reaches q * total (q in [0, 1]). Empty
+     * histograms yield 0.
+     */
+    std::int64_t percentile(double q) const;
+
+    /**
      * Emit CDF rows (value, cumulative fraction) at each distinct
      * observed value.
      */

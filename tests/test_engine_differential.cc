@@ -147,9 +147,7 @@ TEST_P(EngineDifferential, DecodedMatchesReference)
                 // predicated replay forced off (fast tier only), and
                 // force-disabled — so the predicated replay path,
                 // the strict fast tier, and the general path are all
-                // pinned to the reference regardless of the
-                // LBP_SIM_NO_TRACE_CACHE / LBP_SIM_NO_PRED_REPLAY
-                // defaults.
+                // pinned to the reference.
                 sc.engine = SimEngine::DECODED;
                 sc.traceCache = TraceCacheMode::On;
                 sc.predReplay = PredReplayMode::On;

@@ -97,7 +97,7 @@ SimStats
 runWorkload(const std::string &name, CompileResult &cr, int bufferOps,
             SimEngine engine = SimEngine::REFERENCE,
             obs::CycleStack *csOut = nullptr,
-            TraceCacheMode tcMode = TraceCacheMode::Auto)
+            TraceCacheMode tcMode = TraceCacheMode::On)
 {
     Program prog = workloads::buildWorkload(name);
     CompileOptions opts;
@@ -166,7 +166,7 @@ TEST(LoopScorecard, AttributionInvariantBothEnginesAllWorkloads)
         const char *what;
     };
     const EngineConfig configs[] = {
-        {SimEngine::REFERENCE, TraceCacheMode::Auto, "reference"},
+        {SimEngine::REFERENCE, TraceCacheMode::On, "reference"},
         {SimEngine::DECODED, TraceCacheMode::On, "decoded cache=on"},
         {SimEngine::DECODED, TraceCacheMode::Off,
          "decoded cache=off"},

@@ -234,7 +234,7 @@ TEST(ObsRegistry, EmptyHistogramRendersNullQuantiles)
 TEST(ObsRegistry, PercentileNearestRankExactSmallSamples)
 {
     // Nearest-rank on explicit small samples, checked by hand.
-    obs::Histogram h;
+    Histogram h;
     EXPECT_EQ(h.percentile(0.50), 0); // empty -> 0
 
     h.add(10);
@@ -248,7 +248,7 @@ TEST(ObsRegistry, PercentileNearestRankExactSmallSamples)
     EXPECT_EQ(h.percentile(0.51), 20);
     EXPECT_EQ(h.percentile(0.95), 20);
 
-    obs::Histogram k;
+    Histogram k;
     for (int v = 1; v <= 100; ++v)
         k.add(v);
     // Uniform 1..100: nearest-rank p-th percentile is exactly p.
@@ -264,7 +264,7 @@ TEST(ObsRegistry, PercentileNearestRankExactSmallSamples)
 
 TEST(ObsRegistry, PercentileRespectsWeights)
 {
-    obs::Histogram h;
+    Histogram h;
     h.add(1, 9.0);
     h.add(100, 1.0);
     // 90% of the mass sits at 1.
@@ -405,13 +405,14 @@ struct TracedRun
     std::int64_t bufHitOps = 0;
 };
 
+/** Traced run; event tracing is a reference-engine feature. */
 TracedRun
-traceRun(CompileResult &cr, SimEngine engine, int bufferOps = 64)
+traceRun(CompileResult &cr, int bufferOps = 64)
 {
     obs::TraceSink sink(1u << 16);
     SimConfig sc;
     sc.bufferOps = bufferOps;
-    sc.engine = engine;
+    sc.engine = SimEngine::REFERENCE;
     sc.trace = &sink;
     VliwSim sim(cr.code, sc);
     TracedRun out;
@@ -437,7 +438,7 @@ TEST(ObsTrace, GoldenLoopEventSequence)
     CompileResult cr;
     compileProgram(prog, opts, cr);
 
-    const TracedRun run = traceRun(cr, SimEngine::DECODED);
+    const TracedRun run = traceRun(cr);
     EXPECT_EQ(run.stats.checksum, cr.goldenChecksum);
     EXPECT_EQ(run.dropped, 0u);
 
@@ -473,6 +474,7 @@ TEST(ObsTrace, GoldenLoopEventSequence)
             obs::TraceSink s(1u << 16);
             SimConfig sc;
             sc.bufferOps = 64;
+            sc.engine = SimEngine::REFERENCE;
             sc.trace = &s;
             VliwSim(cr.code, sc).run();
             return s;
@@ -484,46 +486,34 @@ TEST(ObsTrace, GoldenLoopEventSequence)
     EXPECT_GT(spans[0].exitCycle, spans[0].enterCycle);
 }
 
-TEST(ObsTrace, EnginesEmitIdenticalEventStreams)
-{
-    Program prog = loopProgram(25, 7);
-    CompileOptions opts;
-    opts.level = OptLevel::Aggressive;
-    opts.bufferOps = 128;
-    CompileResult cr;
-    compileProgram(prog, opts, cr);
-
-    const TracedRun ref = traceRun(cr, SimEngine::REFERENCE, 128);
-    const TracedRun dec = traceRun(cr, SimEngine::DECODED, 128);
-
-    EXPECT_TRUE(obs::diffSimStats(ref.stats, dec.stats).empty());
-    ASSERT_EQ(ref.events.size(), dec.events.size());
-    for (std::size_t i = 0; i < ref.events.size(); ++i) {
-        ASSERT_TRUE(ref.events[i] == dec.events[i])
-            << "event " << i << " diverges: "
-            << obs::traceKindName(ref.events[i].kind) << "@"
-            << ref.events[i].cycle << " vs "
-            << obs::traceKindName(dec.events[i].kind) << "@"
-            << dec.events[i].cycle;
-    }
-}
-
 TEST(ObsTrace, NullSinkDoesNotPerturbStats)
 {
-    Program prog = loopProgram(30, 3);
-    CompileOptions opts;
-    opts.level = OptLevel::Traditional;
-    CompileResult cr;
-    compileProgram(prog, opts, cr);
+    // A traced reference run reports the same SimStats as an
+    // untraced run of the production (decoded) engine.
+    struct Case
+    {
+        int trip, pad;
+        OptLevel level;
+        int bufferOps;
+    };
+    for (const Case &c : {Case{30, 3, OptLevel::Traditional, 64},
+                          Case{25, 7, OptLevel::Aggressive, 128}}) {
+        Program prog = loopProgram(c.trip, c.pad);
+        CompileOptions opts;
+        opts.level = c.level;
+        opts.bufferOps = c.bufferOps;
+        CompileResult cr;
+        compileProgram(prog, opts, cr);
 
-    SimConfig sc;
-    sc.bufferOps = 64;
-    const SimStats plain = VliwSim(cr.code, sc).run();
-    obs::TraceSink sink(1u << 14);
-    sc.trace = &sink;
-    const SimStats traced = VliwSim(cr.code, sc).run();
-    EXPECT_TRUE(obs::diffSimStats(plain, traced, "plain", "traced")
-                    .empty());
+        SimConfig sc;
+        sc.bufferOps = c.bufferOps;
+        const SimStats plain = VliwSim(cr.code, sc).run();
+        const TracedRun traced = traceRun(cr, c.bufferOps);
+        EXPECT_TRUE(obs::diffSimStats(plain, traced.stats,
+                                      "decoded untraced",
+                                      "reference traced")
+                        .empty());
+    }
 }
 
 TEST(ObsTrace, ChromeExportIsValidJson)
@@ -537,6 +527,7 @@ TEST(ObsTrace, ChromeExportIsValidJson)
     obs::TraceSink sink(1u << 14);
     SimConfig sc;
     sc.bufferOps = 64;
+    sc.engine = SimEngine::REFERENCE;
     sc.trace = &sink;
     VliwSim sim(cr.code, sc);
     const SimStats stats = sim.run();

@@ -60,7 +60,7 @@ TEST(ObsConcurrency, SharedHistogramUnderMutex)
     constexpr int kWorkers = 8;
     constexpr int kSamples = 2000;
 
-    obs::Histogram &hist = reg.histogram("latency");
+    Histogram &hist = reg.histogram("latency");
     obs::Gauge &level = reg.gauge("level");
     std::mutex mu;
 

@@ -2,7 +2,8 @@
  * @file
  * VLIW simulator tests: fetch accounting, branch-penalty timing,
  * hardware-loop semantics (rec/exec, counted/while), pipelined-loop
- * timing corrections, and the two-phase bundle commit.
+ * timing corrections, the two-phase bundle commit, and the
+ * reference-engine-only tracing contract.
  */
 
 #include <gtest/gtest.h>
@@ -10,11 +11,14 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/compiler.hh"
 #include "ir/interpreter.hh"
 #include "ir/builder.hh"
 #include "ir/serialize.hh"
+#include "obs/trace.hh"
 #include "sim/trace_cache.hh"
 #include "sim/vliw_sim.hh"
 
@@ -72,6 +76,31 @@ TEST(Sim, MatchesInterpreterResults)
     // Cross-check the return value against the reference interpreter.
     Interpreter interp(cr.ir);
     EXPECT_EQ(st.returns, interp.run().returns);
+}
+
+TEST(Sim, TraceSinkOnDecodedEngineIsFatal)
+{
+    // Event tracing is a reference-engine feature: handing the
+    // decoded engine a sink is a user error, not a silent no-op.
+    Program prog = loopProgram(10, 2);
+    CompileResult cr;
+    compileIt(prog, cr, OptLevel::Traditional, 256);
+    obs::TraceSink sink(1u << 10);
+    SimConfig sc;
+    sc.engine = SimEngine::DECODED;
+    sc.trace = &sink;
+    try {
+        VliwSim sim(cr.code, sc);
+        FAIL() << "a trace sink on the decoded engine must be fatal";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("reference engine"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    sc.engine = SimEngine::REFERENCE;
+    VliwSim ref(cr.code, sc);
+    EXPECT_EQ(ref.run().checksum, cr.goldenChecksum);
 }
 
 TEST(Sim, BufferedLoopFetchesFromBuffer)

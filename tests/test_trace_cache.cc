@@ -60,11 +60,7 @@ simConfig(int bufferOps, SimEngine engine, TraceCacheMode cacheMode)
     sc.bufferOps = bufferOps;
     sc.engine = engine;
     sc.traceCache = cacheMode;
-    // Pin the predicated tier on: these tests assert tier-specific
-    // behavior, so the LBP_SIM_NO_PRED_REPLAY escape hatch (which CI
-    // drives through the whole sim label) must not flip their
-    // engine configuration. Tests of the strict tier set Off
-    // explicitly.
+    // Tests of the strict tier set Off explicitly.
     sc.predReplay = PredReplayMode::On;
     return sc;
 }
@@ -381,8 +377,7 @@ TEST(TraceCache, GuardedBackedgeBuildsPredicatedTrace)
     // build-tier contract is pinned on a hand-assembled image fed
     // straight to the cache: the predicated tier builds a Ready
     // trace keeping the backedge in the op stream; the strict tier
-    // (the LBP_SIM_NO_PRED_REPLAY escape hatch) still declines with
-    // the legacy verdict.
+    // (PredReplayMode::Off) still declines with the legacy verdict.
     DecodedFunction df = makeLoopBody({aluOp()});
     df.ops.back().guard = 1;
     const LoopCtx ctx = headLoopCtx();
@@ -473,41 +468,6 @@ TEST(TraceCache, ReplayMinItersConfigFieldGatesEngagement)
     EXPECT_EQ(statsOf(open).bailouts, 0u);
 }
 
-TEST(TraceCache, ReplayMinItersEnvOverridesConfig)
-{
-    Program prog = countedLoopProgram(20);
-    CompileOptions opts;
-    opts.level = OptLevel::Traditional;
-    opts.bufferOps = 256;
-    CompileResult cr;
-    compileProgram(prog, opts, cr);
-
-    SimConfig sc = simConfig(256, SimEngine::DECODED,
-                             TraceCacheMode::On);
-    sc.replayMinIters = 1000;  // would decline every activation
-
-    // The env override is read at construction and beats the config.
-    ::setenv("LBP_SIM_REPLAY_MIN_ITERS", "4", 1);
-    VliwSim overridden(cr.code, sc);
-    ::unsetenv("LBP_SIM_REPLAY_MIN_ITERS");
-    overridden.run();
-    EXPECT_GT(statsOf(overridden).replays, 0u);
-
-    // Malformed values are ignored — the config holds.
-    ::setenv("LBP_SIM_REPLAY_MIN_ITERS", "4x", 1);
-    VliwSim malformed(cr.code, sc);
-    ::unsetenv("LBP_SIM_REPLAY_MIN_ITERS");
-    malformed.run();
-    EXPECT_EQ(statsOf(malformed).replays, 0u);
-
-    // So are negative ones.
-    ::setenv("LBP_SIM_REPLAY_MIN_ITERS", "-3", 1);
-    VliwSim negative(cr.code, sc);
-    ::unsetenv("LBP_SIM_REPLAY_MIN_ITERS");
-    negative.run();
-    EXPECT_EQ(statsOf(negative).replays, 0u);
-}
-
 /**
  * Counted loop whose body carries a rare side exit into a clamp
  * block that rejoins after the loop — the g724_dec post_filter
@@ -593,7 +553,7 @@ TEST(TraceCache, SideExitLoopBuildsPredicatedTraceAndReplays)
     // Bit-identical against reference and the non-replaying engines.
     const SimStats ref =
         VliwSim(cr.code, simConfig(256, SimEngine::REFERENCE,
-                                   TraceCacheMode::Auto))
+                                   TraceCacheMode::On))
             .run();
     const SimStats off =
         VliwSim(cr.code, simConfig(256, SimEngine::DECODED,
@@ -630,7 +590,7 @@ TEST(TraceCache, SideExitTakenBailsBackToDispatchWithoutDivergence)
 
     const SimStats ref =
         VliwSim(cr.code, simConfig(256, SimEngine::REFERENCE,
-                                   TraceCacheMode::Auto))
+                                   TraceCacheMode::On))
             .run();
     const SimStats off =
         VliwSim(cr.code, simConfig(256, SimEngine::DECODED,
@@ -698,7 +658,7 @@ TEST(TraceCache, StatsBitIdenticalOnOffAndReference)
 
         const SimStats ref =
             VliwSim(cr.code, simConfig(256, SimEngine::REFERENCE,
-                                       TraceCacheMode::Auto))
+                                       TraceCacheMode::On))
                 .run();
         const SimStats on =
             VliwSim(cr.code, simConfig(256, SimEngine::DECODED,
@@ -785,7 +745,7 @@ TEST(TraceCache, DisabledModesPublishNoStats)
     off.run();
     EXPECT_EQ(off.traceCacheStats(), nullptr);
 
-    sc.traceCache = TraceCacheMode::Auto;
+    sc.traceCache = TraceCacheMode::On;
     sc.engine = SimEngine::REFERENCE;
     VliwSim refSim(cr.code, sc);
     refSim.run();

@@ -20,7 +20,10 @@
  * Options:
  *   --level=aggressive|traditional   compile configuration
  *   --buffer=N                       loop buffer size in ops (256)
- *   --engine=decoded|reference       simulator engine (decoded)
+ *   --engine=decoded|reference       simulator engine (decoded);
+ *                                    `trace` takes none: event
+ *                                    tracing runs on the reference
+ *                                    engine
  *   --json=FILE                      write the registry dump as JSON
  *   --csv=FILE                       write the registry dump as CSV
  *   --out=FILE                       trace / report output path
@@ -94,6 +97,7 @@ struct Options
     OptLevel level = OptLevel::Aggressive;
     int bufferOps = 256;
     SimEngine engine = SimEngine::DECODED;
+    bool engineGiven = false;  ///< --engine appeared on the command line
     std::string jsonPath;
     std::string csvPath;
     std::string outPath;
@@ -163,6 +167,7 @@ parseArgs(int argc, char **argv, Options &o)
         } else if (const char *v2 = val("--buffer")) {
             o.bufferOps = std::atoi(v2);
         } else if (const char *v3 = val("--engine")) {
+            o.engineGiven = true;
             const std::string s = v3;
             if (s == "decoded") {
                 o.engine = SimEngine::DECODED;
@@ -447,12 +452,19 @@ cmdTrace(const Options &o)
 {
     if (o.positional.size() != 1)
         return usage();
+    if (o.engineGiven) {
+        std::cerr << "lbp_stats trace takes no --engine: event tracing "
+                     "runs on the reference engine\n";
+        return 2;
+    }
     const std::string &name = o.positional[0];
 
+    Options ro = o;
+    ro.engine = SimEngine::REFERENCE;
     obs::Registry reg;
     obs::TraceSink sink(o.capacity, o.sample);
     CompileResult cr;
-    const SimStats stats = runWorkload(o, name, reg, &sink, cr);
+    const SimStats stats = runWorkload(ro, name, reg, &sink, cr);
 
     // The headline integrity check: buffer-hit events carry the ops
     // count of each bundle issued from the buffer, so their sum must
@@ -485,6 +497,7 @@ cmdTrace(const Options &o)
             bufferedCycles += sp.exitCycle - sp.enterCycle;
 
     std::cout << "workload:         " << name << "\n"
+              << "engine:           reference\n"
               << "cycles:           " << stats.cycles << "\n"
               << "events recorded:  " << sink.size() << "\n"
               << "events dropped:   " << sink.dropped() << "\n"
