@@ -5,16 +5,15 @@
 namespace lbp
 {
 
-Dominators::Dominators(const Function &fn) : fn_(fn)
+Dominators::Dominators(const Function &fn)
+    : succs_(fn.successorLists()), preds_(fn.predecessorLists(succs_))
 {
     const size_t n = fn.blocks.size();
     idom_.assign(n, kNoBlock);
     rpoIndex_.assign(n, -1);
-    rpo_ = fn.reversePostorder();
+    rpo_ = fn.reversePostorder(succs_);
     for (size_t i = 0; i < rpo_.size(); ++i)
         rpoIndex_[rpo_[i]] = static_cast<int>(i);
-
-    auto preds = fn.predecessors();
 
     auto intersect = [&](BlockId a, BlockId b) {
         while (a != b) {
@@ -34,7 +33,7 @@ Dominators::Dominators(const Function &fn) : fn_(fn)
             if (b == fn.entry)
                 continue;
             BlockId new_idom = kNoBlock;
-            for (BlockId p : preds[b]) {
+            for (BlockId p : preds_[b]) {
                 if (rpoIndex_[p] < 0 || idom_[p] == kNoBlock)
                     continue;
                 new_idom = new_idom == kNoBlock ? p

@@ -34,8 +34,12 @@ class Dominators
 
     const std::vector<BlockId> &rpo() const { return rpo_; }
 
+    /** The CFG the tree was built from, for the caller's own walks. */
+    const BlockLists &successors() const { return succs_; }
+    const BlockLists &predecessors() const { return preds_; }
+
   private:
-    const Function &fn_;
+    BlockLists succs_, preds_;
     std::vector<BlockId> idom_;
     std::vector<int> rpoIndex_;
     std::vector<BlockId> rpo_;

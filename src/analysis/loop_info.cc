@@ -15,8 +15,8 @@ Loop::contains(BlockId b) const
 
 LoopInfo::LoopInfo(const Function &fn)
 {
-    Dominators dom(fn);
-    auto preds = fn.predecessors();
+    const Dominators dom(fn);
+    const BlockLists &preds = dom.predecessors();
     loopOf_.assign(fn.blocks.size(), -1);
 
     // Find backedges: edge (latch -> header) where header dominates
@@ -25,7 +25,7 @@ LoopInfo::LoopInfo(const Function &fn)
     for (const auto &bb : fn.blocks) {
         if (bb.dead || !dom.reachable(bb.id))
             continue;
-        for (BlockId s : bb.successors()) {
+        for (BlockId s : dom.successors()[bb.id]) {
             if (dom.dominates(s, bb.id))
                 backedges.emplace_back(bb.id, s);
         }
@@ -66,7 +66,7 @@ LoopInfo::LoopInfo(const Function &fn)
             }
         }
         loop.blocks.push_back(header);
-        for (BlockId b : fn.reversePostorder()) {
+        for (BlockId b : dom.rpo()) {
             if (b != header && in[b])
                 loop.blocks.push_back(b);
         }

@@ -20,47 +20,94 @@ Function::newBlock(const std::string &bname)
 std::vector<std::vector<BlockId>>
 Function::predecessors() const
 {
+    const BlockLists succs = successorLists();
     std::vector<std::vector<BlockId>> preds(blocks.size());
     for (const auto &b : blocks) {
         if (b.dead)
             continue;
-        for (BlockId s : b.successors()) {
-            LBP_ASSERT(s < blocks.size(), "bad successor in ", name);
+        for (BlockId s : succs[b.id])
             preds[s].push_back(b.id);
-        }
     }
     return preds;
+}
+
+BlockLists
+Function::successorLists() const
+{
+    BlockLists out;
+    out.offsets.reserve(blocks.size() + 1);
+    out.offsets.push_back(0);
+    auto add = [&](const BasicBlock &b, BlockId s) {
+        LBP_ASSERT(b.dead || s < blocks.size(), "bad successor in ",
+                   name);
+        const auto first = out.ids.begin() + out.offsets[b.id];
+        if (std::find(first, out.ids.end(), s) == out.ids.end())
+            out.ids.push_back(s);
+    };
+    for (const auto &b : blocks) {
+        for (const auto &o : b.ops)
+            if (o.isBranchOp() && o.target != kNoBlock)
+                add(b, o.target);
+        if (b.fallthrough != kNoBlock)
+            add(b, b.fallthrough);
+        out.offsets.push_back(static_cast<std::uint32_t>(out.ids.size()));
+    }
+    return out;
+}
+
+BlockLists
+Function::predecessorLists(const BlockLists &succs) const
+{
+    BlockLists out;
+    out.offsets.assign(blocks.size() + 1, 0);
+    for (const auto &b : blocks)
+        if (!b.dead)
+            for (BlockId s : succs[b.id])
+                ++out.offsets[s + 1];
+    for (size_t i = 0; i < blocks.size(); ++i)
+        out.offsets[i + 1] += out.offsets[i];
+    out.ids.resize(out.offsets.back());
+    std::vector<std::uint32_t> fill(out.offsets.begin(), out.offsets.end() - 1);
+    for (const auto &b : blocks)
+        if (!b.dead)
+            for (BlockId s : succs[b.id])
+                out.ids[fill[s]++] = b.id;
+    return out;
 }
 
 std::vector<BlockId>
 Function::reversePostorder() const
 {
-    std::vector<BlockId> order;
-    if (entry == kNoBlock)
-        return order;
-    std::vector<char> state(blocks.size(), 0); // 0 new, 1 open, 2 done
-    // Iterative DFS computing postorder.
-    std::vector<std::pair<BlockId, size_t>> stack;
-    stack.emplace_back(entry, 0);
-    state[entry] = 1;
+    return reversePostorder(successorLists());
+}
+
+std::vector<BlockId>
+Function::reversePostorder(const BlockLists &succs) const
+{
     std::vector<BlockId> post;
+    if (entry == kNoBlock)
+        return post;
+    std::vector<char> seen(blocks.size(), 0);
+    // Iterative DFS computing postorder.
+    std::vector<std::pair<BlockId, std::uint32_t>> stack;
+    stack.emplace_back(entry, succs.offsets[entry]);
+    seen[entry] = 1;
+    post.reserve(blocks.size());
     while (!stack.empty()) {
-        auto &[b, idx] = stack.back();
-        auto succs = blocks[b].successors();
-        if (idx < succs.size()) {
-            BlockId s = succs[idx++];
-            if (!blocks[s].dead && state[s] == 0) {
-                state[s] = 1;
-                stack.emplace_back(s, 0);
+        auto &[b, next] = stack.back();
+        if (next < succs.offsets[b + 1]) {
+            const BlockId s = succs.ids[next++];
+            if (!blocks[s].dead && !seen[s]) {
+                seen[s] = 1;
+                stack.emplace_back(s, succs.offsets[s]);
             }
         } else {
             post.push_back(b);
-            state[b] = 2;
             stack.pop_back();
         }
     }
-    order.assign(post.rbegin(), post.rend());
-    return order;
+    std::reverse(post.begin(), post.end());
+    return post;
 }
 
 int

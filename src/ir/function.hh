@@ -7,6 +7,8 @@
 #ifndef LBP_IR_FUNCTION_HH
 #define LBP_IR_FUNCTION_HH
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,22 @@
 
 namespace lbp
 {
+
+/**
+ * One list of block ids per block, stored flat: block b's list is
+ * ids[offsets[b], offsets[b + 1]). A CFG walk builds the successor lists
+ * once instead of rescanning every block's ops at each step.
+ */
+struct BlockLists
+{
+    std::vector<std::uint32_t> offsets;
+    std::vector<BlockId> ids;
+
+    std::span<const BlockId> operator[](BlockId b) const
+    {
+        return {ids.data() + offsets[b], ids.data() + offsets[b + 1]};
+    }
+};
 
 class Function
 {
@@ -59,8 +77,20 @@ class Function
     /** Predecessor map: preds[b] = blocks with an edge into b. */
     std::vector<std::vector<BlockId>> predecessors() const;
 
+    /** Every block's BasicBlock::successors(), from one scan. */
+    BlockLists successorLists() const;
+
+    /**
+     * Every live block's predecessors, in block-id order, from
+     * @p succs (this function's successorLists()).
+     */
+    BlockLists predecessorLists(const BlockLists &succs) const;
+
     /** Reverse-postorder over live, reachable blocks from entry. */
     std::vector<BlockId> reversePostorder() const;
+
+    /** The same, walking @p succs (this function's successorLists()). */
+    std::vector<BlockId> reversePostorder(const BlockLists &succs) const;
 
     /** Total non-NOP operations across live blocks. */
     int sizeOps() const;

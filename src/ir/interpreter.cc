@@ -30,7 +30,8 @@ struct DecodedOp
     bool speculative = false;
     std::uint32_t guard = 0;
     /** Sources; CALL/RET: a = offset into DecodedFunc::lists,
-     *  b = argument count, c = result count. */
+     *  b = argument count, c = result count; PRED_DEF: c = its guard,
+     *  an input to the define (its own guard is the constant 1). */
     std::uint32_t a = 0, b = 0, c = 0;
     /** Destinations (registers, or predicates for PRED_DEF). */
     std::uint32_t d0 = 0, d1 = 0;
@@ -272,6 +273,8 @@ Interpreter::decodeFunction(FuncId f)
                   case Opcode::PRED_DEF:
                     d.a = src(op, 0);
                     d.b = src(op, 1);
+                    d.c = d.guard;
+                    d.guard = one;
                     d.defKind0 = op.defKind0;
                     if (d.defKind0 != PredDefKind::NONE)
                         d.d0 = predDst(op, 0);
@@ -377,6 +380,26 @@ Interpreter::execute(FuncId f, size_t base)
     const size_t loopBase = loops_.size();
     std::int64_t *v = vals_.data() + base;
 
+    // The dynamic counters live in locals; res_ holds them only
+    // across calls and after RET.
+    const std::uint64_t maxOps = maxOps_;
+    std::uint64_t dynOps, dynNullified, dynBranches, dynTaken, dynBlocks;
+    auto load = [&] {
+        dynOps = res_.dynOps;
+        dynNullified = res_.dynNullified;
+        dynBranches = res_.dynBranches;
+        dynTaken = res_.dynTaken;
+        dynBlocks = res_.dynBlocks;
+    };
+    auto flush = [&] {
+        res_.dynOps = dynOps;
+        res_.dynNullified = dynNullified;
+        res_.dynBranches = dynBranches;
+        res_.dynTaken = dynTaken;
+        res_.dynBlocks = dynBlocks;
+    };
+    load();
+
     BlockId cur = kNoBlock;
     const DecodedOp *pc = nullptr;
     const DecodedOp *end = nullptr;
@@ -384,7 +407,7 @@ Interpreter::execute(FuncId f, size_t base)
         LBP_ASSERT(b < df.blocks.size(), "fell off CFG in ", fn.name);
         const DecodedBlock &db = df.blocks[b];
         LBP_ASSERT(!db.dead, "executing dead block in ", fn.name);
-        ++res_.dynBlocks;
+        ++dynBlocks;
         ++counts[b];
         cur = b;
         pc = ops + db.begin;
@@ -416,29 +439,63 @@ Interpreter::execute(FuncId f, size_t base)
         }
 
         const DecodedOp &op = *pc;
-        LBP_ASSERT(++res_.dynOps <= maxOps_,
+        LBP_ASSERT(++dynOps <= maxOps,
                    "operation budget exceeded in ", fn.name);
 
-        if (v[op.guard] == 0 && op.op != Opcode::PRED_DEF) {
-            ++res_.dynNullified;
+        // PRED_DEF's guard is the constant 1 (its real guard is an
+        // input), so one compare decides nullification.
+        if (v[op.guard] == 0) {
+            ++dynNullified;
             if (op.branch)
-                ++res_.dynBranches;
+                ++dynBranches;
             ++pc;
             continue;
         }
+
+        // One case per ALU opcode: with the opcode a constant, the
+        // forced-inline evaluator folds to the one operation.
+#define LBP_INTERP_BINARY(OPC)                                            \
+          case Opcode::OPC:                                               \
+            v[op.d0] = evalBinary(Opcode::OPC, op.cond, v[op.a], v[op.b]); \
+            ++pc;                                                         \
+            break;
+#define LBP_INTERP_UNARY(OPC)                                             \
+          case Opcode::OPC:                                               \
+            v[op.d0] = evalUnary(Opcode::OPC, v[op.a]);                   \
+            ++pc;                                                         \
+            break;
 
         switch (op.op) {
           case Opcode::NOP:
             ++pc;
             break;
 
-          case Opcode::MOV:
-          case Opcode::ABS:
-          case Opcode::ITOF:
-          case Opcode::FTOI:
-            v[op.d0] = evalUnary(op.op, v[op.a]);
-            ++pc;
-            break;
+          LBP_INTERP_BINARY(ADD)
+          LBP_INTERP_BINARY(SUB)
+          LBP_INTERP_BINARY(MUL)
+          LBP_INTERP_BINARY(DIV)
+          LBP_INTERP_BINARY(REM)
+          LBP_INTERP_BINARY(AND)
+          LBP_INTERP_BINARY(OR)
+          LBP_INTERP_BINARY(XOR)
+          LBP_INTERP_BINARY(SHL)
+          LBP_INTERP_BINARY(SHR)
+          LBP_INTERP_BINARY(SHRA)
+          LBP_INTERP_BINARY(MIN)
+          LBP_INTERP_BINARY(MAX)
+          LBP_INTERP_BINARY(SATADD)
+          LBP_INTERP_BINARY(SATSUB)
+          LBP_INTERP_BINARY(CMP)
+          LBP_INTERP_BINARY(FADD)
+          LBP_INTERP_BINARY(FSUB)
+          LBP_INTERP_BINARY(FMUL)
+          LBP_INTERP_BINARY(FDIV)
+          LBP_INTERP_UNARY(MOV)
+          LBP_INTERP_UNARY(ABS)
+          LBP_INTERP_UNARY(ITOF)
+          LBP_INTERP_UNARY(FTOI)
+#undef LBP_INTERP_BINARY
+#undef LBP_INTERP_UNARY
 
           case Opcode::SELECT:
             v[op.d0] = v[op.a] ? v[op.b] : v[op.c];
@@ -472,7 +529,7 @@ Interpreter::execute(FuncId f, size_t base)
           case Opcode::PRED_DEF: {
             // Table 2: the guard is an input to the define function,
             // not a nullification condition.
-            const bool g = v[op.guard] != 0;
+            const bool g = v[op.c] != 0;
             const bool c = evalCond(op.cond, v[op.a], v[op.b]);
             int write = predDefWrite(op.defKind0, g, c);
             if (write >= 0)
@@ -486,10 +543,10 @@ Interpreter::execute(FuncId f, size_t base)
 
           case Opcode::BR:
           case Opcode::BR_WLOOP: {
-            ++res_.dynBranches;
+            ++dynBranches;
             const bool taken = evalCond(op.cond, v[op.a], v[op.b]);
             if (taken)
-                ++res_.dynTaken;
+                ++dynTaken;
             if (op.op == Opcode::BR_WLOOP && !taken && inLoop() &&
                 !loops_.back().counted) {
                 // While-loop exit: retire the hardware loop context.
@@ -510,20 +567,20 @@ Interpreter::execute(FuncId f, size_t base)
           }
 
           case Opcode::JUMP:
-            ++res_.dynBranches;
-            ++res_.dynTaken;
+            ++dynBranches;
+            ++dynTaken;
             leaveLoops(op.target);
             enter(op.target);
             break;
 
           case Opcode::BR_CLOOP: {
-            ++res_.dynBranches;
+            ++dynBranches;
             LBP_ASSERT(inLoop() && loops_.back().counted,
                        "br.cloop without live counted-loop context in ",
                        fn.name);
             LoopEntry &le = loops_.back();
             if (--le.remaining > 0) {
-                ++res_.dynTaken;
+                ++dynTaken;
                 enter(op.target);
             } else if (le.isExec) {
                 resume(le);
@@ -574,7 +631,9 @@ Interpreter::execute(FuncId f, size_t base)
                 prog_.functions[op.target].params;
             for (std::uint32_t i = 0; i < op.b; ++i)
                 cv[params[i]] = v[args[i]];
+            flush();
             execute(op.target, calleeBase);
+            load();
             v = vals_.data() + base;
             LBP_ASSERT(rets_.size() >= op.c,
                        "not enough return values from ",
@@ -593,16 +652,16 @@ Interpreter::execute(FuncId f, size_t base)
                 rets_.push_back(v[srcs[i]]);
             loops_.resize(loopBase);
             --callDepth_;
+            flush();
             return;
           }
 
           case kTrap:
             LBP_PANIC(df.traps[op.target]);
 
-          default: // binary ALU family
-            v[op.d0] = evalBinary(op.op, op.cond, v[op.a], v[op.b]);
-            ++pc;
-            break;
+          default:
+            LBP_PANIC("interpreter: undecoded opcode ",
+                      static_cast<int>(op.op));
         }
     }
 }

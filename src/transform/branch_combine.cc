@@ -57,7 +57,7 @@ combineInBlock(Function &fn, BlockId blkId,
     // registers live-in at the exit target, (c) no redefinition of the
     // exit predicate. We take the maximal eligible suffix of exits.
     auto eligibleFrom = [&](const Exit &e) {
-        const RegSet &tgt_live = live.liveIn(e.target);
+        const RegSetRef tgt_live = live.liveIn(e.target);
         for (size_t j = e.idx + 1; j < bb.ops.size(); ++j) {
             const Operation &op = bb.ops[j];
             if (isStore(op.op) || op.op == Opcode::CALL)

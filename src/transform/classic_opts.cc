@@ -180,12 +180,13 @@ deadCodeElim(Function &fn)
     OptStats st;
     Liveness live(fn);
     std::vector<char> keep;
+    RegSet liveNow(fn.nextReg), predLiveNow(fn.nextPred);
     for (auto &bb : fn.blocks) {
         if (bb.dead)
             continue;
         // Backward scan with a running live set seeded by live-out.
-        RegSet liveNow = live.liveOut(bb.id);
-        RegSet predLiveNow = live.predLiveOut(bb.id);
+        liveNow.assign(live.liveOut(bb.id));
+        predLiveNow.assign(live.predLiveOut(bb.id));
         keep.assign(bb.ops.size(), 1);
         bool dropped = false;
         for (int i = static_cast<int>(bb.ops.size()) - 1; i >= 0; --i) {
@@ -228,12 +229,12 @@ deadCodeElim(Function &fn)
             }
         }
         if (dropped) {
-            std::vector<Operation> kept;
-            kept.reserve(bb.ops.size());
-            for (size_t i = 0; i < bb.ops.size(); ++i)
-                if (keep[i])
-                    kept.push_back(std::move(bb.ops[i]));
-            bb.ops = std::move(kept);
+            size_t kept = 0;
+            for (size_t i = 0; i < bb.ops.size(); ++i) {
+                if (keep[i] && kept++ != i)
+                    bb.ops[kept - 1] = std::move(bb.ops[i]);
+            }
+            bb.ops.erase(bb.ops.begin() + kept, bb.ops.end());
         }
     }
     return st;

@@ -114,7 +114,7 @@ TEST(Liveness, RegistryPinned)
                     ids->erase(std::unique(ids->begin(), ids->end()),
                                ids->end());
                 }
-                auto add = [&](const RegSet &s,
+                auto add = [&](const auto &s,
                                const std::vector<std::uint32_t> &ids) {
                     gVals->push_back(static_cast<std::uint64_t>(s.count()));
                     for (std::uint32_t id : ids)
