@@ -1,107 +1,225 @@
 #include "analysis/dependence.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
-#include "analysis/liveness.hh"
 #include "support/logging.hh"
 
 namespace lbp
 {
 
+/**
+ * Construction state, kept per thread and reused by every graph so a
+ * build allocates only its own edge and adjacency arrays once the
+ * scratch has grown to the largest block seen.
+ */
+struct DepGraph::Scratch
+{
+    /** Access history of one register or predicate in the block. */
+    struct Access
+    {
+        RegId id = 0;
+        int lastWriter = -1;
+        /** Readers since the last write, then readers before any
+         *  write: chains through `links`, in read order. */
+        int sinceHead = -1, sinceTail = -1;
+        int upHead = -1, upTail = -1;
+        /** Writes so far (the base-register version of memory
+         *  disambiguation). */
+        int version = 0;
+        bool written = false;
+    };
+    struct Link
+    {
+        int op;
+        int next;
+    };
+    struct MemAccess
+    {
+        int op;
+        bool isSt;
+        bool baseValid; // reg base with immediate offset
+        int base;       // local register index
+        int version;
+        std::int64_t off;
+        int size;
+    };
+
+    /** Dense id -> local index maps, valid where stamp == epoch. */
+    struct IdMap
+    {
+        std::vector<std::uint32_t> stamp, local;
+    };
+
+    std::uint32_t epoch = 0;
+    IdMap regIds, predIds;
+    std::vector<Access> regs, preds;
+    std::vector<Link> links;
+    std::vector<MemAccess> accesses;
+    std::vector<int> stores;
+    std::vector<int> carried;
+    std::vector<std::uint32_t> cursor;
+    /** (from, to, distance) -> edge index, open addressing. */
+    std::vector<std::uint64_t> keys;
+    std::vector<int> slots;
+    std::uint64_t mask = 0;
+
+    void begin(size_t expectedEdges)
+    {
+        if (++epoch == 0) {
+            std::fill(regIds.stamp.begin(), regIds.stamp.end(), 0);
+            std::fill(predIds.stamp.begin(), predIds.stamp.end(), 0);
+            epoch = 1;
+        }
+        regs.clear();
+        preds.clear();
+        links.clear();
+        accesses.clear();
+        stores.clear();
+        size_t cap = 64;
+        while (cap < 2 * expectedEdges)
+            cap *= 2;
+        keys.assign(cap, kEmpty);
+        slots.resize(cap);
+        mask = cap - 1;
+    }
+
+    /** The access record of @p id, created on first touch. */
+    Access &touch(IdMap &map, std::vector<Access> &table, std::uint32_t id)
+    {
+        if (id >= map.stamp.size()) {
+            map.stamp.resize(id + 1, 0);
+            map.local.resize(id + 1);
+        }
+        if (map.stamp[id] != epoch) {
+            map.stamp[id] = epoch;
+            map.local[id] = static_cast<std::uint32_t>(table.size());
+            table.push_back({});
+            table.back().id = id;
+        }
+        return table[map.local[id]];
+    }
+    /** Local index of register @p r (touched first). */
+    int localReg(RegId r)
+    {
+        touch(regIds, regs, r);
+        return static_cast<int>(regIds.local[r]);
+    }
+
+    static void append(std::vector<Link> &links, int &head, int &tail,
+                       int op)
+    {
+        const int at = static_cast<int>(links.size());
+        links.push_back({op, -1});
+        if (tail >= 0)
+            links[tail].next = at;
+        else
+            head = at;
+        tail = at;
+    }
+
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+};
+
 void
-DepGraph::addEdge(int from, int to, DepKind kind, int latency,
+DepGraph::addEdge(Scratch &s, int from, int to, DepKind kind, int latency,
                   int distance)
 {
     // Deduplicate: keep the strongest (max latency) edge per
-    // (from, to, distance).
-    for (int e : succIdx_[from]) {
-        DepEdge &ex = edges_[e];
-        if (ex.to == to && ex.distance == distance) {
+    // (from, to, distance), at the position of its first insertion.
+    LBP_ASSERT(distance == 0 || distance == 1, "bad edge distance");
+    const std::uint64_t key = std::uint64_t(from) << 32 |
+                              std::uint64_t(to) << 1 |
+                              std::uint64_t(distance);
+    std::uint64_t h = (key * 0x9e3779b97f4a7c15ull) >> 20;
+    for (;; ++h) {
+        const std::uint64_t at = h & s.mask;
+        if (s.keys[at] == key) {
+            DepEdge &ex = edges_[s.slots[at]];
             ex.latency = std::max(ex.latency, latency);
             return;
         }
+        if (s.keys[at] == Scratch::kEmpty) {
+            s.keys[at] = key;
+            s.slots[at] = static_cast<int>(edges_.size());
+            edges_.push_back({from, to, kind, latency, distance});
+            break;
+        }
     }
-    const int idx = static_cast<int>(edges_.size());
-    edges_.push_back({from, to, kind, latency, distance});
-    succIdx_[from].push_back(idx);
-    predIdx_[to].push_back(idx);
+    if (2 * edges_.size() <= s.mask + 1)
+        return;
+    // Keep the table at most half full.
+    const size_t cap = 2 * (s.mask + 1);
+    s.keys.assign(cap, Scratch::kEmpty);
+    s.slots.resize(cap);
+    s.mask = cap - 1;
+    for (size_t e = 0; e < edges_.size(); ++e) {
+        const DepEdge &ed = edges_[e];
+        const std::uint64_t k = std::uint64_t(ed.from) << 32 |
+                                std::uint64_t(ed.to) << 1 |
+                                std::uint64_t(ed.distance);
+        std::uint64_t p = (k * 0x9e3779b97f4a7c15ull) >> 20;
+        while (s.keys[p & s.mask] != Scratch::kEmpty)
+            ++p;
+        s.keys[p & s.mask] = k;
+        s.slots[p & s.mask] = static_cast<int>(e);
+    }
 }
 
 DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
 {
+    thread_local Scratch s;
     numOps_ = static_cast<int>(bb.ops.size());
-    succIdx_.assign(numOps_, {});
-    predIdx_.assign(numOps_, {});
+    s.begin(4 * bb.ops.size());
 
     // --- Register dependences (general + predicate) ---
     // Track last writer and readers-since-last-write per register.
-    struct Accesses
-    {
-        int lastWriter = -1;
-        std::vector<int> readersSince;
-        std::vector<int> upwardReaders; // readers before any write
-        int firstWriter = -1;
-        int lastWriterFinal = -1;
+    auto read = [&](Scratch::Access &a, int i, int latency) {
+        if (a.lastWriter >= 0)
+            addEdge(s, a.lastWriter, i, DepKind::TRUE_, latency, 0);
+        else
+            Scratch::append(s.links, a.upHead, a.upTail, i);
+        Scratch::append(s.links, a.sinceHead, a.sinceTail, i);
     };
-    std::map<std::int64_t, Accesses> regs;   // key: reg id
-    std::map<std::int64_t, Accesses> preds;  // key: pred id
-
-    auto touchRead = [&](std::map<std::int64_t, Accesses> &table,
-                         std::int64_t key, int i, int /*lat*/) {
-        Accesses &a = table[key];
-        if (a.lastWriter >= 0) {
-            // TRUE dep from the in-block writer.
-            // Latency added by caller via writer's opcode below.
-        } else {
-            a.upwardReaders.push_back(i);
+    auto write = [&](Scratch::Access &a, int i) {
+        for (int l = a.sinceHead; l >= 0; l = s.links[l].next) {
+            if (s.links[l].op != i)
+                addEdge(s, s.links[l].op, i, DepKind::ANTI, 0, 0);
         }
-        a.readersSince.push_back(i);
+        if (a.lastWriter >= 0 && a.lastWriter != i)
+            addEdge(s, a.lastWriter, i, DepKind::OUTPUT, 1, 0);
+        a.sinceHead = a.sinceTail = -1;
+        a.lastWriter = i;
+        a.written = true;
     };
-
     for (int i = 0; i < numOps_; ++i) {
         const Operation &op = bb.ops[i];
 
-        // Reads.
-        for (RegId r : Liveness::uses(op)) {
-            Accesses &a = regs[r];
-            if (a.lastWriter >= 0) {
-                addEdge(a.lastWriter, i, DepKind::TRUE_,
-                        latencyOf(bb.ops[a.lastWriter].op), 0);
-            }
-            touchRead(regs, r, i, 0);
+        // Reads: registers, then the guard and predicate sources.
+        for (const Operand &o : op.srcs) {
+            if (!o.isReg())
+                continue;
+            Scratch::Access &a = s.touch(s.regIds, s.regs, o.asReg());
+            read(a, i,
+                 a.lastWriter >= 0 ? latencyOf(bb.ops[a.lastWriter].op)
+                                   : 0);
         }
-        for (PredId p : Liveness::predUses(op)) {
-            Accesses &a = preds[p];
-            if (a.lastWriter >= 0) {
-                // Predicate generation has a 1-cycle path to the
-                // consumer's squash input (paper §7.3).
-                addEdge(a.lastWriter, i, DepKind::TRUE_, 1, 0);
-            }
-            touchRead(preds, p, i, 0);
-        }
+        // Predicate generation has a 1-cycle path to the consumer's
+        // squash input (paper §7.3).
+        if (op.guard != kNoPred)
+            read(s.touch(s.predIds, s.preds, op.guard), i, 1);
+        for (const Operand &o : op.srcs)
+            if (o.isPred())
+                read(s.touch(s.predIds, s.preds, o.asPred()), i, 1);
 
         // Writes.
-        auto doWrite = [&](std::map<std::int64_t, Accesses> &table,
-                           std::int64_t key) {
-            Accesses &a = table[key];
-            for (int rd : a.readersSince) {
-                if (rd != i)
-                    addEdge(rd, i, DepKind::ANTI, 0, 0);
-            }
-            if (a.lastWriter >= 0 && a.lastWriter != i)
-                addEdge(a.lastWriter, i, DepKind::OUTPUT, 1, 0);
-            a.readersSince.clear();
-            if (a.firstWriter < 0)
-                a.firstWriter = i;
-            a.lastWriter = i;
-            a.lastWriterFinal = i;
-        };
-        for (RegId r : Liveness::defs(op))
-            doWrite(regs, r);
-        for (PredId p : Liveness::predDefs(op))
-            doWrite(preds, p);
+        for (const Operand &o : op.dsts)
+            if (o.isReg())
+                write(s.touch(s.regIds, s.regs, o.asReg()), i);
+        if (op.op == Opcode::PRED_DEF) {
+            for (const Operand &o : op.dsts)
+                if (o.isPred())
+                    write(s.touch(s.predIds, s.preds, o.asPred()), i);
+        }
     }
 
     // --- Memory ordering with base+offset disambiguation ---
@@ -110,24 +228,8 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
     // their [offset, offset+size) ranges are disjoint — the
     // lightweight fruit of the pointer analysis the paper calls
     // "important to optimization and instruction scheduling".
-    struct MemAccess
-    {
-        int op;
-        bool isSt;
-        RegId base = 0;
-        bool baseValid = false; // reg base with immediate offset
-        int version = 0;
-        std::int64_t off = 0;
-        int size = 0;
-    };
-    std::vector<MemAccess> accesses;
-    std::map<RegId, int> regVersion;
-    std::set<RegId> writtenInBlock;
-    for (int i = 0; i < numOps_; ++i) {
-        for (RegId r : Liveness::defs(bb.ops[i]))
-            writtenInBlock.insert(r);
-    }
-
+    for (auto &a : s.regs)
+        a.version = 0;
     auto accessSize = [](Opcode oc) {
         switch (oc) {
           case Opcode::LD_B: case Opcode::ST_B: return 1;
@@ -135,53 +237,51 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
           default: return 4;
         }
     };
-    auto mayAlias = [&](const MemAccess &a, const MemAccess &b,
-                        bool crossIteration) {
+    auto mayAlias = [&](const Scratch::MemAccess &a,
+                        const Scratch::MemAccess &b, bool crossIteration) {
         if (!a.baseValid || !b.baseValid)
             return true;
         if (a.base != b.base || a.version != b.version)
             return true;
         // Cross-iteration comparisons additionally require the base
         // to be loop-invariant over the whole body.
-        if (crossIteration && writtenInBlock.count(a.base))
+        if (crossIteration && s.regs[a.base].written)
             return true;
         return a.off < b.off + b.size && b.off < a.off + a.size;
     };
 
-    std::vector<int> stores_all;
     for (int i = 0; i < numOps_; ++i) {
         const Operation &op = bb.ops[i];
         const Opcode oc = op.op;
         if (isLoad(oc) || isStore(oc)) {
-            MemAccess ma;
-            ma.op = i;
-            ma.isSt = isStore(oc);
-            ma.size = accessSize(oc);
+            Scratch::MemAccess ma{i, isStore(oc), false, 0, 0, 0,
+                                  accessSize(oc)};
             if (op.srcs[0].isReg() && op.srcs[1].isImm()) {
-                ma.base = op.srcs[0].asReg();
+                ma.base = s.localReg(op.srcs[0].asReg());
                 ma.baseValid = true;
-                ma.version = regVersion[ma.base];
+                ma.version = s.regs[ma.base].version;
                 ma.off = op.srcs[1].value;
             }
-            for (const auto &prev : accesses) {
+            for (const auto &prev : s.accesses) {
                 if (!prev.isSt && !ma.isSt)
                     continue; // load-load never conflicts
                 if (mayAlias(prev, ma, /*crossIteration=*/false)) {
                     // store->load / store->store need a cycle; a
                     // store may issue in a load's cycle (reads
                     // precede writes within a bundle).
-                    addEdge(prev.op, i, DepKind::MEM,
+                    addEdge(s, prev.op, i, DepKind::MEM,
                             prev.isSt ? 1 : 0, 0);
                 }
             }
-            accesses.push_back(ma);
+            s.accesses.push_back(ma);
             if (ma.isSt)
-                stores_all.push_back(i);
+                s.stores.push_back(i);
         }
         // Every register write (memory op or not) advances base
         // versions, invalidating offset comparisons across it.
-        for (RegId r : Liveness::defs(op))
-            ++regVersion[r];
+        for (const Operand &o : op.dsts)
+            if (o.isReg())
+                ++s.regs[s.localReg(o.asReg())].version;
     }
 
     // --- Control: branches are position barriers ---
@@ -191,55 +291,78 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
             continue;
         }
         for (int j = 0; j < i; ++j)
-            addEdge(j, i, DepKind::CONTROL, 0, 0);
+            addEdge(s, j, i, DepKind::CONTROL, 0, 0);
         for (int j = i + 1; j < numOps_; ++j)
-            addEdge(i, j, DepKind::CONTROL, 1, 0);
+            addEdge(s, i, j, DepKind::CONTROL, 1, 0);
     }
 
-    if (!loopCarried)
-        return;
+    if (loopCarried) {
+        // --- Loop-carried register dependences (distance 1), by
+        //     ascending register id, then by ascending predicate id ---
+        auto carry = [&](std::vector<Scratch::Access> &table,
+                         bool predicate) {
+            s.carried.clear();
+            for (size_t k = 0; k < table.size(); ++k)
+                if (table[k].lastWriter >= 0 && table[k].upHead >= 0)
+                    s.carried.push_back(static_cast<int>(k));
+            std::sort(s.carried.begin(), s.carried.end(),
+                      [&](int x, int y) {
+                          return table[x].id < table[y].id;
+                      });
+            for (int k : s.carried) {
+                const Scratch::Access &a = table[k];
+                const int latency =
+                    predicate ? 1 : latencyOf(bb.ops[a.lastWriter].op);
+                for (int l = a.upHead; l >= 0; l = s.links[l].next) {
+                    addEdge(s, a.lastWriter, s.links[l].op,
+                            DepKind::TRUE_, latency, 1);
+                }
+            }
+        };
+        carry(s.regs, false);
+        carry(s.preds, true);
 
-    // --- Loop-carried register dependences (distance 1) ---
-    for (const auto &[r, a] : regs) {
-        if (a.lastWriterFinal < 0)
-            continue;
-        for (int rd : a.upwardReaders) {
-            addEdge(a.lastWriterFinal, rd, DepKind::TRUE_,
-                    latencyOf(bb.ops[a.lastWriterFinal].op), 1);
-        }
-    }
-    for (const auto &[p, a] : preds) {
-        if (a.lastWriterFinal < 0)
-            continue;
-        for (int rd : a.upwardReaders)
-            addEdge(a.lastWriterFinal, rd, DepKind::TRUE_, 1, 1);
-    }
-
-    // --- Loop-carried memory (distance 1), disambiguated ---
-    for (const auto &a : accesses) {
-        if (!a.isSt)
-            continue;
-        for (const auto &b : accesses) {
-            if (!a.isSt && !b.isSt)
+        // --- Loop-carried memory (distance 1), disambiguated ---
+        for (const auto &a : s.accesses) {
+            if (!a.isSt)
                 continue;
-            if (mayAlias(a, b, /*crossIteration=*/true))
-                addEdge(a.op, b.op, DepKind::MEM, 1, 1);
+            for (const auto &b : s.accesses) {
+                if (mayAlias(a, b, /*crossIteration=*/true))
+                    addEdge(s, a.op, b.op, DepKind::MEM, 1, 1);
+            }
+        }
+
+        // --- Loop-carried control: an exit whose outcome is not known
+        //     in advance (while-loop back branch, conditional exits)
+        //     limits store speculation in the next iteration.
+        //     Counted-loop branches (BR_CLOOP) impose no such
+        //     constraint: the trip count is known to the fetch
+        //     hardware.
+        for (int i = 0; i < numOps_; ++i) {
+            const Opcode oc = bb.ops[i].op;
+            if (oc != Opcode::BR_WLOOP && oc != Opcode::BR &&
+                oc != Opcode::JUMP) {
+                continue;
+            }
+            for (int st : s.stores)
+                addEdge(s, i, st, DepKind::CONTROL, 1, 1);
         }
     }
 
-    // --- Loop-carried control: an exit whose outcome is not known in
-    //     advance (while-loop back branch, conditional exits) limits
-    //     store speculation in the next iteration. Counted-loop
-    //     branches (BR_CLOOP) impose no such constraint: the trip
-    //     count is known to the fetch hardware.
-    for (int i = 0; i < numOps_; ++i) {
-        const Opcode oc = bb.ops[i].op;
-        if (oc != Opcode::BR_WLOOP && oc != Opcode::BR &&
-            oc != Opcode::JUMP) {
-            continue;
-        }
-        for (int st : stores_all)
-            addEdge(i, st, DepKind::CONTROL, 1, 1);
+    // Successor and predecessor rows, each in edge order.
+    const int n = numOps_;
+    adjStart_.assign(2 * n + 2, 0);
+    for (const DepEdge &e : edges_) {
+        ++adjStart_[e.from + 1];
+        ++adjStart_[n + 2 + e.to];
+    }
+    for (int r = 0; r < 2 * n + 1; ++r)
+        adjStart_[r + 1] += adjStart_[r];
+    adj_.resize(2 * edges_.size());
+    s.cursor.assign(adjStart_.begin(), adjStart_.end() - 1);
+    for (size_t e = 0; e < edges_.size(); ++e) {
+        adj_[s.cursor[edges_[e].from]++] = static_cast<int>(e);
+        adj_[s.cursor[n + 1 + edges_[e].to]++] = static_cast<int>(e);
     }
 }
 
@@ -250,7 +373,7 @@ DepGraph::heights() const
     // Ops are in program order; distance-0 edges always go forward
     // (by construction), so a reverse sweep computes longest paths.
     for (int i = numOps_ - 1; i >= 0; --i) {
-        for (int e : succIdx_[i]) {
+        for (int e : succs(i)) {
             const DepEdge &ed = edges_[e];
             if (ed.distance != 0)
                 continue;
@@ -263,17 +386,73 @@ DepGraph::heights() const
 int
 DepGraph::recMII() const
 {
-    // Find the smallest II such that the graph with edge weights
-    // (latency - II * distance) has no positive-weight cycle.
-    auto hasPositiveCycle = [&](int ii) {
-        std::vector<double> dist(numOps_, 0.0);
-        for (int iter = 0; iter <= numOps_; ++iter) {
+    const int n = numOps_;
+    // Tarjan's strongly connected components, iteratively.
+    std::vector<int> index(n, -1), low(n, 0), comp(n, -1);
+    std::vector<int> stack, call;
+    std::vector<char> onStack(n, 0);
+    std::vector<int> nextEdge(n, 0);
+    int counter = 0, numComps = 0;
+    for (int root = 0; root < n; ++root) {
+        if (index[root] >= 0)
+            continue;
+        call.push_back(root);
+        while (!call.empty()) {
+            const int v = call.back();
+            if (index[v] < 0) {
+                index[v] = low[v] = counter++;
+                stack.push_back(v);
+                onStack[v] = 1;
+            }
+            const auto out = succs(v);
+            if (nextEdge[v] < static_cast<int>(out.size())) {
+                const int w = edges_[out[nextEdge[v]++]].to;
+                if (index[w] < 0)
+                    call.push_back(w);
+                else if (onStack[w])
+                    low[v] = std::min(low[v], index[w]);
+                continue;
+            }
+            call.pop_back();
+            if (!call.empty())
+                low[call.back()] = std::min(low[call.back()], low[v]);
+            if (low[v] == index[v]) {
+                int w;
+                do {
+                    w = stack.back();
+                    stack.pop_back();
+                    onStack[w] = 0;
+                    comp[w] = numComps;
+                } while (w != v);
+                ++numComps;
+            }
+        }
+    }
+
+    // Edges inside each component; a component with none (a single
+    // op without a self edge) holds no cycle.
+    std::vector<std::vector<const DepEdge *>> inner(numComps);
+    for (const DepEdge &e : edges_)
+        if (comp[e.from] == comp[e.to])
+            inner[comp[e.from]].push_back(&e);
+
+    // Find the smallest II such that the component with edge weights
+    // (latency - II * distance) has no positive-weight cycle. Every
+    // cycle carries distance >= 1 (distance-0 edges go forward), so
+    // II = the sum of the component's latencies always suffices.
+    std::vector<std::int64_t> dist(n, 0);
+    std::vector<int> members;
+    auto hasPositiveCycle = [&](const std::vector<const DepEdge *> &es,
+                                int ii) {
+        for (int m : members)
+            dist[m] = 0;
+        for (size_t iter = 0; iter <= members.size(); ++iter) {
             bool relaxed = false;
-            for (const auto &e : edges_) {
-                const double w =
-                    e.latency - static_cast<double>(ii) * e.distance;
-                if (dist[e.from] + w > dist[e.to]) {
-                    dist[e.to] = dist[e.from] + w;
+            for (const DepEdge *e : es) {
+                const std::int64_t w =
+                    e->latency - std::int64_t{ii} * e->distance;
+                if (dist[e->from] + w > dist[e->to]) {
+                    dist[e->to] = dist[e->from] + w;
                     relaxed = true;
                 }
             }
@@ -283,20 +462,33 @@ DepGraph::recMII() const
         return true;
     };
 
-    int lo = 1, hi = 1;
-    for (const auto &e : edges_)
-        hi = std::max(hi, e.latency + 1);
-    hi = std::max(hi, numOps_ + 1);
-    while (hasPositiveCycle(hi))
-        hi *= 2;
-    while (lo < hi) {
-        const int mid = (lo + hi) / 2;
-        if (hasPositiveCycle(mid))
-            lo = mid + 1;
-        else
-            hi = mid;
+    int best = 1;
+    for (int c = 0; c < numComps; ++c) {
+        const auto &es = inner[c];
+        if (es.empty())
+            continue;
+        members.clear();
+        int hi = 1;
+        for (const DepEdge *e : es) {
+            hi += std::max(e->latency, 0);
+            members.push_back(e->from);
+        }
+        std::sort(members.begin(), members.end());
+        members.erase(std::unique(members.begin(), members.end()),
+                      members.end());
+        int lo = best;
+        if (!hasPositiveCycle(es, lo))
+            continue;
+        while (lo < hi) {
+            const int mid = lo + (hi - lo) / 2;
+            if (hasPositiveCycle(es, mid))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        best = lo;
     }
-    return lo;
+    return best;
 }
 
 } // namespace lbp

@@ -14,6 +14,7 @@
 #define LBP_ANALYSIS_DEPENDENCE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ir/basic_block.hh"
@@ -53,11 +54,12 @@ class DepGraph
     int numOps() const { return numOps_; }
     const std::vector<DepEdge> &edges() const { return edges_; }
 
-    /** Successor edges of op @p i. */
-    const std::vector<int> &succs(int i) const { return succIdx_[i]; }
+    /** Successor edges of op @p i, in edge order. */
+    std::span<const int> succs(int i) const { return adjacent(i); }
 
-    /** Predecessor edges of op @p i. */
-    const std::vector<int> &preds(int i) const { return predIdx_[i]; }
+    /** Predecessor edges of op @p i, in edge order. */
+    std::span<const int> preds(int i) const
+    { return adjacent(numOps_ + 1 + i); }
 
     const DepEdge &edge(int e) const { return edges_[e]; }
 
@@ -69,19 +71,32 @@ class DepGraph
 
     /**
      * Recurrence-constrained minimum initiation interval: the maximum
-     * over all dependence cycles of ceil(latency / distance). Computed
-     * by iterative relaxation; only meaningful when built with
-     * loopCarried = true.
+     * over all dependence cycles of ceil(latency / distance), and at
+     * least 1. Every cycle lies in one strongly connected component,
+     * so each nontrivial component finds its own bound by binary
+     * search over II with an integer Bellman-Ford on its edges. Only
+     * meaningful when built with loopCarried = true.
      */
     int recMII() const;
 
   private:
-    void addEdge(int from, int to, DepKind kind, int latency,
+    struct Scratch;
+
+    void addEdge(Scratch &s, int from, int to, DepKind kind, int latency,
                  int distance);
+
+    std::span<const int> adjacent(int row) const
+    {
+        return {adj_.data() + adjStart_[row],
+                adj_.data() + adjStart_[row + 1]};
+    }
 
     int numOps_ = 0;
     std::vector<DepEdge> edges_;
-    std::vector<std::vector<int>> succIdx_, predIdx_;
+    /** Edge indices: op i's successor edges are row i, its
+     *  predecessor edges row numOps + 1 + i; row r spans
+     *  adj_[adjStart_[r], adjStart_[r + 1]). */
+    std::vector<int> adjStart_, adj_;
 };
 
 } // namespace lbp
