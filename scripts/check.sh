@@ -86,10 +86,11 @@ ctest --test-dir "$SAN_BUILD" --output-on-failure -L obs
     --gtest_brief=1
 # The compile path under ASan+UBSan, by name: the predecoded
 # interpreter's raw value-array indexing and trap operands, the
-# inline operand lists, the modulo scheduler's heap worklist, and the
-# registry pins of both.
+# inline operand lists, the modulo scheduler's heap worklist, the
+# dependence graph's scratch tables, the flat liveness rows, and the
+# registry pins of all of them.
 "$SAN_BUILD"/tests/lbp_tests \
-    --gtest_filter='Interp.*:Modulo.*:Compiler.*:Inliner.*' \
+    --gtest_filter='Interp.*:Modulo.*:Compiler.*:Inliner.*:DepGraph.*:Liveness.*:LoopInfo.*:Dominators.*:ClassicOpts.*' \
     --gtest_brief=1
 # Profiler under ASan, by name: live sampling with concurrent region
 # markers (the SIGPROF handler's single-writer discipline).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "obs/prof.hh"
+
 namespace lbp
 {
 
@@ -149,6 +151,9 @@ transfer(Words &in, Words &out, const Words &gen, const Words &kill,
 Liveness::Liveness(const Function &fn)
     : regWords_((fn.nextReg + 63) / 64), predWords_((fn.nextPred + 63) / 64)
 {
+    static const std::uint8_t region = obs::prof::internRegion("liveness");
+    obs::prof::ScopedRegion profRegion(region);
+
     const size_t n = fn.blocks.size();
     const std::uint32_t rw = regWords_, pw = predWords_;
     liveIn_.assign(n * rw, 0);

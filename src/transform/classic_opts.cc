@@ -4,6 +4,7 @@
 
 #include "analysis/liveness.hh"
 #include "ir/semantics.hh"
+#include "obs/prof.hh"
 #include "support/logging.hh"
 
 namespace lbp
@@ -243,12 +244,24 @@ deadCodeElim(Function &fn)
 OptStats
 optimizeFunction(Function &fn, int max_rounds)
 {
+    // Host-profiler attribution of each sub-pass.
+    static const std::uint8_t copypropRegion =
+        obs::prof::internRegion("classic_opts.copyprop");
+    static const std::uint8_t foldRegion =
+        obs::prof::internRegion("classic_opts.fold");
+    static const std::uint8_t dceRegion =
+        obs::prof::internRegion("classic_opts.dce");
+    auto timed = [](std::uint8_t region, auto &&pass) {
+        obs::prof::ScopedRegion r(region);
+        return pass();
+    };
+
     OptStats total;
     for (int round = 0; round < max_rounds; ++round) {
         OptStats st;
-        st += copyPropagate(fn);
-        st += constantFold(fn);
-        st += deadCodeElim(fn);
+        st += timed(copypropRegion, [&] { return copyPropagate(fn); });
+        st += timed(foldRegion, [&] { return constantFold(fn); });
+        st += timed(dceRegion, [&] { return deadCodeElim(fn); });
         total += st;
         if (!st.any())
             break;

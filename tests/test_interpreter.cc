@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "core/compiler.hh"
@@ -122,6 +123,124 @@ TEST(Interp, GuardNullifies)
     auto r = interp.run();
     EXPECT_EQ(r.returns[0], 10);
     EXPECT_EQ(r.dynNullified, 1u);
+}
+
+/** A program whose main(x, y) returns @p op applied to its params. */
+Program
+aluProgram(Opcode opc, CmpCond cond, bool unary)
+{
+    Program prog;
+    const FuncId f = prog.newFunction("main");
+    prog.entryFunc = f;
+    Function &fn = prog.functions[f];
+    const RegId x = fn.newReg(), y = fn.newReg();
+    fn.params = {x, y};
+    fn.numReturns = 1;
+    IRBuilder b(prog, f);
+    const RegId d = prog.functions[f].newReg();
+    b.emit(unary ? makeUnary(opc, d, Operand::reg(x))
+           : opc == Opcode::CMP
+               ? makeCmp(d, cond, Operand::reg(x), Operand::reg(y))
+               : makeBinary(opc, d, Operand::reg(x), Operand::reg(y)));
+    b.ret({Operand::reg(d)});
+    return prog;
+}
+
+TEST(Interp, EveryAluOpcodeMatchesSemantics)
+{
+    // Each opcode has its own case in the interpreter's dispatch; a
+    // missing one would reach the default panic, and a wrong one
+    // would disagree with ir/semantics.hh on some input.
+    const std::int64_t kMin = INT64_MIN, kMax = INT64_MAX;
+    const std::vector<std::int64_t> ints = {
+        0, 1, -1, 2, 7, -13, 63, 64, 65, 100, 32767, -32768, 40000,
+        kMin, kMax, asBits(1.5), asBits(-2.25)};
+    const Opcode binary[] = {
+        Opcode::ADD, Opcode::SUB, Opcode::MUL, Opcode::DIV, Opcode::REM,
+        Opcode::AND, Opcode::OR, Opcode::XOR, Opcode::SHL, Opcode::SHR,
+        Opcode::SHRA, Opcode::MIN, Opcode::MAX, Opcode::SATADD,
+        Opcode::SATSUB, Opcode::FADD, Opcode::FSUB, Opcode::FMUL,
+        Opcode::FDIV};
+    // Which NaN payload an FP op on two NaNs returns is up to the
+    // code the compiler emits, so NaN results match as NaN.
+    auto same = [](Opcode opc, std::int64_t x, std::int64_t y) {
+        const bool fp = opc == Opcode::FADD || opc == Opcode::FSUB ||
+                        opc == Opcode::FMUL || opc == Opcode::FDIV;
+        return x == y || (fp && std::isnan(asDouble(x)) &&
+                          std::isnan(asDouble(y)));
+    };
+    auto check = [&](Opcode opc, CmpCond cond, std::int64_t a,
+                     std::int64_t c) {
+        Program prog = aluProgram(opc, cond, false);
+        const ExecResult r = Interpreter(prog).run({a, c});
+        ASSERT_EQ(r.returns.size(), 1u);
+        EXPECT_PRED3(same, opc, r.returns[0], evalBinary(opc, cond, a, c))
+            << opcodeName(opc) << " " << condName(cond) << " " << a
+            << ", " << c;
+    };
+    for (Opcode opc : binary) {
+        for (std::int64_t a : ints) {
+            for (std::int64_t c : ints) {
+                // A zero divisor is a fault, not a value.
+                if ((opc == Opcode::DIV || opc == Opcode::REM) && c == 0)
+                    continue;
+                check(opc, CmpCond::EQ, a, c);
+            }
+        }
+    }
+    for (int k = 0; k <= static_cast<int>(CmpCond::FALSE_); ++k) {
+        for (std::int64_t a : ints)
+            for (std::int64_t c : ints)
+                check(Opcode::CMP, static_cast<CmpCond>(k), a, c);
+    }
+    // FTOI's double must fit an int64 (converting NaN or a huge value
+    // is undefined), so it gets inputs of its own.
+    const std::vector<std::int64_t> doubles = {
+        asBits(0.0), asBits(1.5), asBits(-2.25), asBits(1e6),
+        asBits(-9.0e18)};
+    for (Opcode opc : {Opcode::MOV, Opcode::ABS, Opcode::ITOF,
+                       Opcode::FTOI}) {
+        Program prog = aluProgram(opc, CmpCond::EQ, true);
+        for (std::int64_t a : opc == Opcode::FTOI ? doubles : ints) {
+            EXPECT_EQ(Interpreter(prog).run({a, 0}).returns,
+                      (std::vector<std::int64_t>{evalUnary(opc, a)}))
+                << opcodeName(opc) << " " << a;
+        }
+    }
+    // The cases the ISA defines specially, by value.
+    EXPECT_EQ(evalBinary(Opcode::DIV, CmpCond::EQ, kMin, -1), kMin);
+    EXPECT_EQ(evalBinary(Opcode::REM, CmpCond::EQ, kMin, -1), 0);
+    EXPECT_EQ(evalBinary(Opcode::SHL, CmpCond::EQ, 1, 65), 2);
+}
+
+TEST(Interp, FalseGuardPredDefStillWrites)
+{
+    // A PRED_DEF's guard is an input to the define (Table 2), not a
+    // nullification condition: with the guard false, UT and UF both
+    // write 0, OT leaves its destination alone, and the op is not
+    // counted as nullified.
+    Program prog;
+    const FuncId f = prog.newFunction("main");
+    prog.entryFunc = f;
+    IRBuilder b(prog, f);
+    auto I = [](std::int64_t v) { return Operand::imm(v); };
+    const PredId g = b.newPred(), ut = b.newPred(), uf = b.newPred();
+    const PredId ot = b.newPred();
+    b.predDef(PredDefKind::UT, g, CmpCond::FALSE_, I(0), I(0));
+    for (PredId p : {ut, uf, ot})
+        b.predDef(PredDefKind::UT, p, CmpCond::TRUE_, I(0), I(0));
+    Operation both = makePredDef(PredDefKind::UT, ut, PredDefKind::UF, uf,
+                                 CmpCond::EQ, I(3), I(3));
+    both.guard = g;
+    b.emit(both);
+    Operation keep = makePredDef(PredDefKind::OT, ot, PredDefKind::NONE,
+                                 0, CmpCond::EQ, I(3), I(3));
+    keep.guard = g;
+    b.emit(keep);
+    b.ret({Operand::pred(ut), Operand::pred(uf), Operand::pred(ot)});
+    const ExecResult r = Interpreter(prog).run();
+    EXPECT_EQ(r.returns, (std::vector<std::int64_t>{0, 0, 1}));
+    EXPECT_EQ(r.dynNullified, 0u);
 }
 
 // ---- Table 2: exhaustive truth-table check ----
