@@ -54,9 +54,7 @@ class RegSet
   public:
     RegSet() = default;
     explicit RegSet(std::uint32_t n) : words_((n + 63) / 64, 0) {}
-    explicit RegSet(RegSetRef r) : words_(r.words(), r.words() + r.numWords())
-    {
-    }
+    RegSet(RegSetRef r) : words_(r.words(), r.words() + r.numWords()) {}
 
     operator RegSetRef() const
     {

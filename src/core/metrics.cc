@@ -151,7 +151,7 @@ collectRegisterPressure(const CompileResult &cr)
             // Sweep the block backwards maintaining the live set,
             // seeded with live-out (which, for a loop body, includes
             // the next iteration's needs via the backedge).
-            RegSet liveNow(live.liveOut(bb.id));
+            RegSet liveNow = live.liveOut(bb.id);
             int maxLive = liveNow.count();
             for (auto it = bb.ops.rbegin(); it != bb.ops.rend();
                  ++it) {

@@ -17,7 +17,12 @@
  * into flat per-block op arrays. An operand is an index into the
  * frame's one dense value array (registers, then predicates, then the
  * function's immediates), so reading it is one load with no switch on
- * its kind. An op whose operands cannot be read decodes to a trap
+ * its kind. Execution switches once per op: every ALU opcode has its
+ * own case, which calls the ir/semantics.hh evaluator with a constant
+ * opcode. A PRED_DEF's guard is decoded as an input operand (Table 2)
+ * and its own guard as the constant 1, so nullification is one
+ * compare. The dynamic counters live in locals of each frame and
+ * reach ExecResult at CALL and RET. An op whose operands cannot be read decodes to a trap
  * that panics, with the message the check would give, only when the
  * op executes: the verifier does not check register ranges, so an
  * invalid op in a block that never runs stays harmless. Nothing
