@@ -7,12 +7,15 @@
 namespace lbp
 {
 
+namespace
+{
+
 /**
- * Construction state, kept per thread and reused by every graph so a
- * build allocates only its own edge and adjacency arrays once the
- * scratch has grown to the largest block seen.
+ * Per-register and per-memory-op construction state, kept per thread
+ * and reused by every graph: once it has grown to the largest block
+ * seen, it allocates nothing.
  */
-struct DepGraph::Scratch
+struct Scratch
 {
     /** Access history of one register or predicate in the block. */
     struct Access
@@ -58,12 +61,8 @@ struct DepGraph::Scratch
     std::vector<int> stores;
     std::vector<int> carried;
     std::vector<std::uint32_t> cursor;
-    /** (from, to, distance) -> edge index, open addressing. */
-    std::vector<std::uint64_t> keys;
-    std::vector<int> slots;
-    std::uint64_t mask = 0;
 
-    void begin(size_t expectedEdges)
+    void begin()
     {
         if (++epoch == 0) {
             std::fill(regIds.stamp.begin(), regIds.stamp.end(), 0);
@@ -75,12 +74,6 @@ struct DepGraph::Scratch
         links.clear();
         accesses.clear();
         stores.clear();
-        size_t cap = 64;
-        while (cap < 2 * expectedEdges)
-            cap *= 2;
-        keys.assign(cap, kEmpty);
-        slots.resize(cap);
-        mask = cap - 1;
     }
 
     /** The access record of @p id, created on first touch. */
@@ -116,52 +109,79 @@ struct DepGraph::Scratch
             head = at;
         tail = at;
     }
+};
+
+} // namespace
+
+/**
+ * The graph's edges by (from, to, distance), open addressing, at most
+ * half full. It is sized from the block and freed with the build: a
+ * table kept for the largest block would stay in the heap for the
+ * life of the thread, next to whatever runs after the compile.
+ */
+struct DepGraph::EdgeIndex
+{
+    std::vector<std::uint64_t> keys;
+    std::vector<int> slots;
+    std::uint64_t mask = 0;
 
     static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+    explicit EdgeIndex(size_t expectedEdges) { resize(expectedEdges); }
+
+    static std::uint64_t key(int from, int to, int distance)
+    {
+        return std::uint64_t(from) << 32 | std::uint64_t(to) << 1 |
+               std::uint64_t(distance);
+    }
+
+    /** The slot holding @p k, or the empty slot where it belongs. */
+    std::uint64_t find(std::uint64_t k) const
+    {
+        std::uint64_t h = (k * 0x9e3779b97f4a7c15ull) >> 20;
+        while (keys[h & mask] != k && keys[h & mask] != kEmpty)
+            ++h;
+        return h & mask;
+    }
+
+    /** Empty the table, with room for @p edges at most half full. */
+    void resize(size_t edges)
+    {
+        size_t cap = 64;
+        while (cap < 2 * edges)
+            cap *= 2;
+        keys.assign(cap, kEmpty);
+        slots.resize(cap);
+        mask = cap - 1;
+    }
 };
 
 void
-DepGraph::addEdge(Scratch &s, int from, int to, DepKind kind, int latency,
-                  int distance)
+DepGraph::addEdge(EdgeIndex &index, int from, int to, DepKind kind,
+                  int latency, int distance)
 {
     // Deduplicate: keep the strongest (max latency) edge per
     // (from, to, distance), at the position of its first insertion.
     LBP_ASSERT(distance == 0 || distance == 1, "bad edge distance");
-    const std::uint64_t key = std::uint64_t(from) << 32 |
-                              std::uint64_t(to) << 1 |
-                              std::uint64_t(distance);
-    std::uint64_t h = (key * 0x9e3779b97f4a7c15ull) >> 20;
-    for (;; ++h) {
-        const std::uint64_t at = h & s.mask;
-        if (s.keys[at] == key) {
-            DepEdge &ex = edges_[s.slots[at]];
-            ex.latency = std::max(ex.latency, latency);
-            return;
-        }
-        if (s.keys[at] == Scratch::kEmpty) {
-            s.keys[at] = key;
-            s.slots[at] = static_cast<int>(edges_.size());
-            edges_.push_back({from, to, kind, latency, distance});
-            break;
-        }
-    }
-    if (2 * edges_.size() <= s.mask + 1)
+    const std::uint64_t k = EdgeIndex::key(from, to, distance);
+    const std::uint64_t at = index.find(k);
+    if (index.keys[at] == k) {
+        DepEdge &ex = edges_[index.slots[at]];
+        ex.latency = std::max(ex.latency, latency);
         return;
-    // Keep the table at most half full.
-    const size_t cap = 2 * (s.mask + 1);
-    s.keys.assign(cap, Scratch::kEmpty);
-    s.slots.resize(cap);
-    s.mask = cap - 1;
+    }
+    index.keys[at] = k;
+    index.slots[at] = static_cast<int>(edges_.size());
+    edges_.push_back({from, to, kind, latency, distance});
+    if (2 * edges_.size() <= index.mask + 1)
+        return;
+    index.resize(2 * edges_.size());
     for (size_t e = 0; e < edges_.size(); ++e) {
         const DepEdge &ed = edges_[e];
-        const std::uint64_t k = std::uint64_t(ed.from) << 32 |
-                                std::uint64_t(ed.to) << 1 |
-                                std::uint64_t(ed.distance);
-        std::uint64_t p = (k * 0x9e3779b97f4a7c15ull) >> 20;
-        while (s.keys[p & s.mask] != Scratch::kEmpty)
-            ++p;
-        s.keys[p & s.mask] = k;
-        s.slots[p & s.mask] = static_cast<int>(e);
+        const std::uint64_t ek = EdgeIndex::key(ed.from, ed.to, ed.distance);
+        const std::uint64_t slot = index.find(ek);
+        index.keys[slot] = ek;
+        index.slots[slot] = static_cast<int>(e);
     }
 }
 
@@ -169,13 +189,14 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
 {
     thread_local Scratch s;
     numOps_ = static_cast<int>(bb.ops.size());
-    s.begin(4 * bb.ops.size());
+    s.begin();
+    EdgeIndex index(4 * bb.ops.size());
 
     // --- Register dependences (general + predicate) ---
     // Track last writer and readers-since-last-write per register.
     auto read = [&](Scratch::Access &a, int i, int latency) {
         if (a.lastWriter >= 0)
-            addEdge(s, a.lastWriter, i, DepKind::TRUE_, latency, 0);
+            addEdge(index, a.lastWriter, i, DepKind::TRUE_, latency, 0);
         else
             Scratch::append(s.links, a.upHead, a.upTail, i);
         Scratch::append(s.links, a.sinceHead, a.sinceTail, i);
@@ -183,10 +204,10 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
     auto write = [&](Scratch::Access &a, int i) {
         for (int l = a.sinceHead; l >= 0; l = s.links[l].next) {
             if (s.links[l].op != i)
-                addEdge(s, s.links[l].op, i, DepKind::ANTI, 0, 0);
+                addEdge(index, s.links[l].op, i, DepKind::ANTI, 0, 0);
         }
         if (a.lastWriter >= 0 && a.lastWriter != i)
-            addEdge(s, a.lastWriter, i, DepKind::OUTPUT, 1, 0);
+            addEdge(index, a.lastWriter, i, DepKind::OUTPUT, 1, 0);
         a.sinceHead = a.sinceTail = -1;
         a.lastWriter = i;
         a.written = true;
@@ -269,7 +290,7 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
                     // store->load / store->store need a cycle; a
                     // store may issue in a load's cycle (reads
                     // precede writes within a bundle).
-                    addEdge(s, prev.op, i, DepKind::MEM,
+                    addEdge(index, prev.op, i, DepKind::MEM,
                             prev.isSt ? 1 : 0, 0);
                 }
             }
@@ -291,9 +312,9 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
             continue;
         }
         for (int j = 0; j < i; ++j)
-            addEdge(s, j, i, DepKind::CONTROL, 0, 0);
+            addEdge(index, j, i, DepKind::CONTROL, 0, 0);
         for (int j = i + 1; j < numOps_; ++j)
-            addEdge(s, i, j, DepKind::CONTROL, 1, 0);
+            addEdge(index, i, j, DepKind::CONTROL, 1, 0);
     }
 
     if (loopCarried) {
@@ -314,7 +335,7 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
                 const int latency =
                     predicate ? 1 : latencyOf(bb.ops[a.lastWriter].op);
                 for (int l = a.upHead; l >= 0; l = s.links[l].next) {
-                    addEdge(s, a.lastWriter, s.links[l].op,
+                    addEdge(index, a.lastWriter, s.links[l].op,
                             DepKind::TRUE_, latency, 1);
                 }
             }
@@ -328,7 +349,7 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
                 continue;
             for (const auto &b : s.accesses) {
                 if (mayAlias(a, b, /*crossIteration=*/true))
-                    addEdge(s, a.op, b.op, DepKind::MEM, 1, 1);
+                    addEdge(index, a.op, b.op, DepKind::MEM, 1, 1);
             }
         }
 
@@ -345,7 +366,7 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
                 continue;
             }
             for (int st : s.stores)
-                addEdge(s, i, st, DepKind::CONTROL, 1, 1);
+                addEdge(index, i, st, DepKind::CONTROL, 1, 1);
         }
     }
 

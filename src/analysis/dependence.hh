@@ -80,10 +80,10 @@ class DepGraph
     int recMII() const;
 
   private:
-    struct Scratch;
+    struct EdgeIndex;
 
-    void addEdge(Scratch &s, int from, int to, DepKind kind, int latency,
-                 int distance);
+    void addEdge(EdgeIndex &index, int from, int to, DepKind kind,
+                 int latency, int distance);
 
     std::span<const int> adjacent(int row) const
     {
