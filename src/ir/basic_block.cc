@@ -64,4 +64,12 @@ BasicBlock::sizeOps() const
     return n;
 }
 
+void
+BasicBlock::kill()
+{
+    dead = true;
+    std::vector<Operation>().swap(ops);
+    fallthrough = kNoBlock;
+}
+
 } // namespace lbp

@@ -52,6 +52,13 @@ class BasicBlock
 
     /** Count of non-NOP operations. */
     int sizeOps() const;
+
+    /**
+     * Make this block a tombstone: dead, with no ops and no
+     * fall-through. Its op storage is released now, inside the pass
+     * that killed it, rather than whenever the program is destroyed.
+     */
+    void kill();
 };
 
 } // namespace lbp

@@ -146,9 +146,7 @@ Function::pruneUnreachable()
     int removed = 0;
     for (auto &b : blocks) {
         if (!b.dead && !reach[b.id]) {
-            b.dead = true;
-            b.ops.clear();
-            b.fallthrough = kNoBlock;
+            b.kill();
             ++removed;
         }
     }

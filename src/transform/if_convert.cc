@@ -411,9 +411,7 @@ convertLoop(Function &fn, const Loop &loop,
     for (BlockId b : topo) {
         if (b == loop.header)
             continue;
-        fn.blocks[b].dead = true;
-        fn.blocks[b].ops.clear();
-        fn.blocks[b].fallthrough = kNoBlock;
+        fn.blocks[b].kill();
         ++st.blocksMerged;
     }
     ++st.loopsConverted;

@@ -357,9 +357,7 @@ collapseOne(Function &fn, LoopInfo &li, const Loop &outer,
     // F/latch blocks. The A path already flows into innerBlk.
     // Kill the F-path blocks.
     for (BlockId b : fPath) {
-        fn.blocks[b].dead = true;
-        fn.blocks[b].ops.clear();
-        fn.blocks[b].fallthrough = kNoBlock;
+        fn.blocks[b].kill();
     }
 
     st.outerOpsPulledIn += outer_ops;

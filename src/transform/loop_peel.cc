@@ -138,9 +138,7 @@ peelOne(Function &fn, const Loop &loop, const PeelOptions &opts,
 
     // Kill the original body.
     for (BlockId b : loop.blocks) {
-        fn.blocks[b].dead = true;
-        fn.blocks[b].ops.clear();
-        fn.blocks[b].fallthrough = kNoBlock;
+        fn.blocks[b].kill();
     }
     ++st.loopsPeeled;
     if (log) {
