@@ -29,7 +29,6 @@ struct Scratch
         /** Writes so far (the base-register version of memory
          *  disambiguation). */
         int version = 0;
-        bool written = false;
     };
     struct Link
     {
@@ -210,7 +209,6 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
             addEdge(index, a.lastWriter, i, DepKind::OUTPUT, 1, 0);
         a.sinceHead = a.sinceTail = -1;
         a.lastWriter = i;
-        a.written = true;
     };
     for (int i = 0; i < numOps_; ++i) {
         const Operation &op = bb.ops[i];
@@ -266,7 +264,7 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
             return true;
         // Cross-iteration comparisons additionally require the base
         // to be loop-invariant over the whole body.
-        if (crossIteration && s.regs[a.base].written)
+        if (crossIteration && s.regs[a.base].lastWriter >= 0)
             return true;
         return a.off < b.off + b.size && b.off < a.off + a.size;
     };

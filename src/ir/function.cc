@@ -17,20 +17,6 @@ Function::newBlock(const std::string &bname)
     return blocks.back().id;
 }
 
-std::vector<std::vector<BlockId>>
-Function::predecessors() const
-{
-    const BlockLists succs = successorLists();
-    std::vector<std::vector<BlockId>> preds(blocks.size());
-    for (const auto &b : blocks) {
-        if (b.dead)
-            continue;
-        for (BlockId s : succs[b.id])
-            preds[s].push_back(b.id);
-    }
-    return preds;
-}
-
 BlockLists
 Function::successorLists() const
 {
@@ -67,7 +53,8 @@ Function::predecessorLists(const BlockLists &succs) const
     for (size_t i = 0; i < blocks.size(); ++i)
         out.offsets[i + 1] += out.offsets[i];
     out.ids.resize(out.offsets.back());
-    std::vector<std::uint32_t> fill(out.offsets.begin(), out.offsets.end() - 1);
+    std::vector<std::uint32_t> fill(out.offsets.begin(),
+                                    out.offsets.end() - 1);
     for (const auto &b : blocks)
         if (!b.dead)
             for (BlockId s : succs[b.id])

@@ -74,9 +74,6 @@ class Function
     BasicBlock &block(BlockId b) { return blocks[b]; }
     const BasicBlock &block(BlockId b) const { return blocks[b]; }
 
-    /** Predecessor map: preds[b] = blocks with an edge into b. */
-    std::vector<std::vector<BlockId>> predecessors() const;
-
     /** Every block's BasicBlock::successors(), from one scan. */
     BlockLists successorLists() const;
 

@@ -22,9 +22,9 @@
  * opcode. A PRED_DEF's guard is decoded as an input operand (Table 2)
  * and its own guard as the constant 1, so nullification is one
  * compare. The dynamic counters live in locals of each frame and
- * reach ExecResult at CALL and RET. An op whose operands cannot be read decodes to a trap
- * that panics, with the message the check would give, only when the
- * op executes: the verifier does not check register ranges, so an
+ * reach ExecResult at CALL and RET. An op whose operands cannot be
+ * read decodes to a trap that panics, with the message the check
+ * would give, only when the op executes: the verifier does not check register ranges, so an
  * invalid op in a block that never runs stays harmless. Nothing
  * decoded outlives run(), because programs change between pipeline
  * stages. The interpreter shares only ir/semantics.hh with the
