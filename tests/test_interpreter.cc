@@ -125,6 +125,115 @@ TEST(Interp, GuardNullifies)
     EXPECT_EQ(r.dynNullified, 1u);
 }
 
+// ---- Table 2: exhaustive truth-table check ----
+// For each define kind and each (guard, cond) combination, the
+// destination must match the paper's table, including "no update".
+struct Table2Case
+{
+    PredDefKind kind;
+    bool guard;
+    bool cond;
+    /** Fills the padding byte: gtest prints every byte of a case in
+     *  the test's name, so an uninitialized one made names vary. */
+    bool pad = false;
+    int expect; // -1 = no update (stays at sentinel)
+};
+
+class Table2Test : public ::testing::TestWithParam<Table2Case>
+{
+};
+
+TEST_P(Table2Test, Semantics)
+{
+    const Table2Case tc = GetParam();
+    Program prog;
+    const FuncId f = prog.newFunction("main");
+    prog.entryFunc = f;
+    IRBuilder b(prog, f);
+    auto I = [](std::int64_t v) { return Operand::imm(v); };
+
+    const PredId guard = b.newPred();
+    const PredId dst = b.newPred();
+    const PredId probeSentinel = b.newPred();
+
+    // Set up guard value.
+    b.predDef(PredDefKind::UT, guard,
+              tc.guard ? CmpCond::TRUE_ : CmpCond::FALSE_, I(0), I(0));
+    // Seed destination with a sentinel that survives "no update":
+    // set dst = 1 via an unguarded define, so a 0-write is visible,
+    // and track whether an update happened via value changes from
+    // both sentinel polarities.
+    // Sentinel A: dst starts at 1.
+    b.predDef(PredDefKind::UT, dst, CmpCond::TRUE_, I(0), I(0));
+    Operation d1 = makePredDef(tc.kind, dst, PredDefKind::NONE, 0,
+                               tc.cond ? CmpCond::TRUE_
+                                       : CmpCond::FALSE_,
+                               I(0), I(0));
+    d1.guard = guard;
+    b.emit(d1);
+    const RegId after1 = b.mov(Operand::pred(dst));
+
+    // Sentinel B: dst starts at 0.
+    b.predDef(PredDefKind::UT, dst, CmpCond::FALSE_, I(0), I(0));
+    Operation d2 = makePredDef(tc.kind, dst, PredDefKind::NONE, 0,
+                               tc.cond ? CmpCond::TRUE_
+                                       : CmpCond::FALSE_,
+                               I(0), I(0));
+    d2.guard = guard;
+    b.emit(d2);
+    const RegId after0 = b.mov(Operand::pred(dst));
+    (void)probeSentinel;
+
+    // ret two observations.
+    b.ret({Operand::reg(after1), Operand::reg(after0)});
+    Interpreter interp(prog);
+    auto r = interp.run();
+    // The shared truth table the interpreter just executed.
+    EXPECT_EQ(predDefWrite(tc.kind, tc.guard, tc.cond), tc.expect);
+    ASSERT_EQ(r.returns.size(), 2u);
+    if (tc.expect < 0) {
+        // No update: both sentinels survive.
+        EXPECT_EQ(r.returns[0], 1);
+        EXPECT_EQ(r.returns[1], 0);
+    } else {
+        EXPECT_EQ(r.returns[0], tc.expect);
+        EXPECT_EQ(r.returns[1], tc.expect);
+    }
+}
+
+std::vector<Table2Case>
+table2Cases()
+{
+    using K = PredDefKind;
+    std::vector<Table2Case> cases;
+    // Row order: (guard, cond) in {(0,0),(0,1),(1,0),(1,1)} per the
+    // paper's Table 2.
+    struct Row { K k; int v[4]; };
+    const Row rows[] = {
+        {K::UT, {0, 0, 0, 1}},
+        {K::UF, {0, 0, 1, 0}},
+        {K::OT, {-1, -1, -1, 1}},
+        {K::OF, {-1, -1, 1, -1}},
+        {K::AT, {-1, -1, 0, -1}},
+        {K::AF, {-1, -1, -1, 0}},
+        {K::CT, {-1, -1, 0, 1}},
+        {K::CF, {-1, -1, 1, 0}},
+    };
+    for (const Row &row : rows) {
+        int i = 0;
+        for (bool g : {false, true}) {
+            for (bool c : {false, true}) {
+                cases.push_back({row.k, g, c, false, row.v[i]});
+                ++i;
+            }
+        }
+    }
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, Table2Test,
+                         ::testing::ValuesIn(table2Cases()));
+
 /** A program whose main(x, y) returns @p op applied to its params. */
 Program
 aluProgram(Opcode opc, CmpCond cond, bool unary)
@@ -242,112 +351,6 @@ TEST(Interp, FalseGuardPredDefStillWrites)
     EXPECT_EQ(r.returns, (std::vector<std::int64_t>{0, 0, 1}));
     EXPECT_EQ(r.dynNullified, 0u);
 }
-
-// ---- Table 2: exhaustive truth-table check ----
-// For each define kind and each (guard, cond) combination, the
-// destination must match the paper's table, including "no update".
-struct Table2Case
-{
-    PredDefKind kind;
-    bool guard;
-    bool cond;
-    int expect; // -1 = no update (stays at sentinel)
-};
-
-class Table2Test : public ::testing::TestWithParam<Table2Case>
-{
-};
-
-TEST_P(Table2Test, Semantics)
-{
-    const Table2Case tc = GetParam();
-    Program prog;
-    const FuncId f = prog.newFunction("main");
-    prog.entryFunc = f;
-    IRBuilder b(prog, f);
-    auto I = [](std::int64_t v) { return Operand::imm(v); };
-
-    const PredId guard = b.newPred();
-    const PredId dst = b.newPred();
-    const PredId probeSentinel = b.newPred();
-
-    // Set up guard value.
-    b.predDef(PredDefKind::UT, guard,
-              tc.guard ? CmpCond::TRUE_ : CmpCond::FALSE_, I(0), I(0));
-    // Seed destination with a sentinel that survives "no update":
-    // set dst = 1 via an unguarded define, so a 0-write is visible,
-    // and track whether an update happened via value changes from
-    // both sentinel polarities.
-    // Sentinel A: dst starts at 1.
-    b.predDef(PredDefKind::UT, dst, CmpCond::TRUE_, I(0), I(0));
-    Operation d1 = makePredDef(tc.kind, dst, PredDefKind::NONE, 0,
-                               tc.cond ? CmpCond::TRUE_
-                                       : CmpCond::FALSE_,
-                               I(0), I(0));
-    d1.guard = guard;
-    b.emit(d1);
-    const RegId after1 = b.mov(Operand::pred(dst));
-
-    // Sentinel B: dst starts at 0.
-    b.predDef(PredDefKind::UT, dst, CmpCond::FALSE_, I(0), I(0));
-    Operation d2 = makePredDef(tc.kind, dst, PredDefKind::NONE, 0,
-                               tc.cond ? CmpCond::TRUE_
-                                       : CmpCond::FALSE_,
-                               I(0), I(0));
-    d2.guard = guard;
-    b.emit(d2);
-    const RegId after0 = b.mov(Operand::pred(dst));
-    (void)probeSentinel;
-
-    // ret two observations.
-    b.ret({Operand::reg(after1), Operand::reg(after0)});
-    Interpreter interp(prog);
-    auto r = interp.run();
-    // The shared truth table the interpreter just executed.
-    EXPECT_EQ(predDefWrite(tc.kind, tc.guard, tc.cond), tc.expect);
-    ASSERT_EQ(r.returns.size(), 2u);
-    if (tc.expect < 0) {
-        // No update: both sentinels survive.
-        EXPECT_EQ(r.returns[0], 1);
-        EXPECT_EQ(r.returns[1], 0);
-    } else {
-        EXPECT_EQ(r.returns[0], tc.expect);
-        EXPECT_EQ(r.returns[1], tc.expect);
-    }
-}
-
-std::vector<Table2Case>
-table2Cases()
-{
-    using K = PredDefKind;
-    std::vector<Table2Case> cases;
-    // Row order: (guard, cond) in {(0,0),(0,1),(1,0),(1,1)} per the
-    // paper's Table 2.
-    struct Row { K k; int v[4]; };
-    const Row rows[] = {
-        {K::UT, {0, 0, 0, 1}},
-        {K::UF, {0, 0, 1, 0}},
-        {K::OT, {-1, -1, -1, 1}},
-        {K::OF, {-1, -1, 1, -1}},
-        {K::AT, {-1, -1, 0, -1}},
-        {K::AF, {-1, -1, -1, 0}},
-        {K::CT, {-1, -1, 0, 1}},
-        {K::CF, {-1, -1, 1, 0}},
-    };
-    for (const Row &row : rows) {
-        int i = 0;
-        for (bool g : {false, true}) {
-            for (bool c : {false, true}) {
-                cases.push_back({row.k, g, c, row.v[i]});
-                ++i;
-            }
-        }
-    }
-    return cases;
-}
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, Table2Test,
-                         ::testing::ValuesIn(table2Cases()));
 
 TEST(Interp, OrTypeAccumulates)
 {
