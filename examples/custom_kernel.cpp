@@ -99,7 +99,7 @@ dumpSchedule(const CompileResult &cr)
                     sb.imageOps());
         for (size_t cy = 0; cy < sb.bundles.size(); ++cy) {
             std::printf("  cycle %2zu:", cy);
-            for (const auto &so : sb.bundles[cy].ops) {
+            for (const auto &so : sb.opsOf(sb.bundles[cy])) {
                 std::printf(" [s%d] %s;", so.slot,
                             toString(so.op, &fn).c_str());
             }

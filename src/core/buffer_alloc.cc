@@ -132,12 +132,10 @@ allocateLoopBuffers(Program &prog, SchedProgram &code,
         irOp.numOps = c.imageOps;
         // Mirror onto the scheduled copy (matched by op id).
         SchedFunction &sf = code.functions[c.func];
-        for (auto &bu : sf.blocks[c.recBlock].bundles) {
-            for (auto &so : bu.ops) {
-                if (so.op.id == irOp.id) {
-                    so.op.bufAddr = addr;
-                    so.op.numOps = c.imageOps;
-                }
+        for (auto &so : sf.blocks[c.recBlock].ops) {
+            if (so.op.id == irOp.id) {
+                so.op.bufAddr = addr;
+                so.op.numOps = c.imageOps;
             }
         }
         BufferAssignment a;

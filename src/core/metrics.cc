@@ -45,7 +45,7 @@ collectPredicationMetrics(const CompileResult &cr)
 
             double sensDyn = 0;
             for (size_t cy = 0; cy < sb.bundles.size(); ++cy) {
-                for (const auto &so : sb.bundles[cy].ops) {
+                for (const auto &so : sb.opsOf(sb.bundles[cy])) {
                     const Operation &op = so.op;
                     const bool guarded =
                         op.guard != kNoPred || op.sensitive;

@@ -50,8 +50,9 @@ lowerBlockToSlots(const BasicBlock &irBlock, SchedBlock &sb,
     std::map<PredId, PredInfo> preds;
 
     for (size_t bu = 0; bu < sb.bundles.size(); ++bu) {
-        for (size_t oi = 0; oi < sb.bundles[bu].ops.size(); ++oi) {
-            const SchedOp &so = sb.bundles[bu].ops[oi];
+        const auto bundleOps = sb.opsOf(sb.bundles[bu]);
+        for (size_t oi = 0; oi < bundleOps.size(); ++oi) {
+            const SchedOp &so = bundleOps[oi];
             const Operation &op = so.op;
             const int cycle = static_cast<int>(bu);
             if (op.guard != kNoPred) {
@@ -151,7 +152,7 @@ lowerBlockToSlots(const BasicBlock &irBlock, SchedBlock &sb,
     for (size_t bu = 0; bu < sb.bundles.size(); ++bu) {
         for (int s : machine.slotsFor(UnitClass::PRED))
             freePredSlots[bu].insert(s);
-        for (const auto &so : sb.bundles[bu].ops)
+        for (const auto &so : sb.opsOf(sb.bundles[bu]))
             freePredSlots[bu].erase(so.slot);
     }
 
@@ -164,8 +165,9 @@ lowerBlockToSlots(const BasicBlock &irBlock, SchedBlock &sb,
 
     // Walk defines in schedule order and expand their destinations.
     for (size_t bu = 0; bu < sb.bundles.size(); ++bu) {
-        for (size_t oi = 0; oi < sb.bundles[bu].ops.size(); ++oi) {
-            const SchedOp &so = sb.bundles[bu].ops[oi];
+        const auto bundleOps = sb.opsOf(sb.bundles[bu]);
+        for (size_t oi = 0; oi < bundleOps.size(); ++oi) {
+            const SchedOp &so = bundleOps[oi];
             if (so.op.op != Opcode::PRED_DEF)
                 continue;
             DefRewrite rw;
@@ -223,8 +225,11 @@ lowerBlockToSlots(const BasicBlock &irBlock, SchedBlock &sb,
     // Apply: rewrite defines (and clone as needed), set sensitivity
     // bits on consumers.
     for (auto &rw : rewrites) {
-        Bundle &bundle = sb.bundles[rw.where.buIdx];
-        Operation &op = bundle.ops[rw.where.opIdx].op;
+        // A clone goes at the end of its bundle, so the op indices
+        // of the rewrites still to come stay valid; `op` is rewritten
+        // before adding a clone can move it in memory.
+        Operation &op =
+            sb.opsOf(sb.bundles[rw.where.buIdx])[rw.where.opIdx].op;
         const Operation proto = op;
 
         auto setDests = [](Operation &o, const NewDest *a,
@@ -256,25 +261,21 @@ lowerBlockToSlots(const BasicBlock &irBlock, SchedBlock &sb,
                        "clone capacity re-check failed");
             const int s = *freePredSlots[rw.where.buIdx].begin();
             freePredSlots[rw.where.buIdx].erase(s);
-            bundle.ops.push_back({clone, s});
+            sb.addOp(rw.where.buIdx, {clone, s});
             ++stats.definesCloned;
         }
     }
 
-    for (auto &bundle : sb.bundles) {
-        for (auto &so : bundle.ops) {
-            if (so.op.guard != kNoPred) {
-                const auto it = preds.find(so.op.guard);
-                if (it != preds.end() &&
-                    !it->second.defines.empty() &&
-                    !keepInRegs.count(so.op.guard)) {
-                    so.op.sensitive = true;
-                    ++stats.sensitiveOps;
-                }
-                // else: register-file predicate (externally defined
-                // or range-limited) — keep the register guard
-                // (mixed mode).
+    for (auto &so : sb.ops) {
+        if (so.op.guard != kNoPred) {
+            const auto it = preds.find(so.op.guard);
+            if (it != preds.end() && !it->second.defines.empty() &&
+                !keepInRegs.count(so.op.guard)) {
+                so.op.sensitive = true;
+                ++stats.sensitiveOps;
             }
+            // else: register-file predicate (externally defined or
+            // range-limited) — keep the register guard (mixed mode).
         }
     }
 

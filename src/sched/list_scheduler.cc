@@ -67,7 +67,7 @@ listScheduleBlock(const BasicBlock &bb, const Machine &machine)
     int scheduled = 0;
     const int target =
         static_cast<int>(realOps.size());
-    std::vector<Bundle> bundles;
+    sb.ops.reserve(realOps.size());
     // Predicate-affinity ownership: first predicate whose consumer
     // lands in a slot owns it for the rest of the block.
     std::array<PredId, Machine::width> slotOwner{};
@@ -76,6 +76,7 @@ listScheduleBlock(const BasicBlock &bb, const Machine &machine)
     int guard = 0;
     while (scheduled < target && guard++ < 100000) {
         Bundle bu;
+        bu.first = static_cast<std::uint32_t>(sb.ops.size());
         std::vector<char> slotUsed(Machine::width, 0);
 
         // Candidates ready at this cycle, highest-priority first.
@@ -137,7 +138,7 @@ listScheduleBlock(const BasicBlock &bb, const Machine &machine)
                 slotOwner[slot] = guard;
             slotUsed[slot] = 1;
             cycleOf[i] = cycle;
-            bu.ops.push_back({bb.ops[i], slot});
+            sb.ops.push_back({bb.ops[i], slot});
             ++scheduled;
             ready.erase(std::remove(ready.begin(), ready.end(), i),
                         ready.end());
@@ -157,20 +158,20 @@ listScheduleBlock(const BasicBlock &bb, const Machine &machine)
 
         // Keep ops within a bundle in program order for deterministic
         // execution semantics.
-        std::sort(bu.ops.begin(), bu.ops.end(),
+        std::sort(sb.ops.begin() + bu.first, sb.ops.end(),
                   [](const SchedOp &a, const SchedOp &b) {
                       return a.op.id < b.op.id;
                   });
-        bundles.push_back(std::move(bu));
+        bu.count = static_cast<std::uint32_t>(sb.ops.size()) - bu.first;
+        sb.bundles.push_back(bu);
         ++cycle;
     }
     LBP_ASSERT(scheduled == target, "list scheduler did not converge");
 
     // NOP-only successors of the last real op would leave trailing
     // empty bundles; trim them.
-    while (!bundles.empty() && bundles.back().ops.empty())
-        bundles.pop_back();
-    sb.bundles = std::move(bundles);
+    while (!sb.bundles.empty() && sb.bundles.back().count == 0)
+        sb.bundles.pop_back();
     return sb;
 }
 

@@ -331,15 +331,29 @@ moduloScheduleLoop(const BasicBlock &bb, const Machine &machine,
         maxC = std::max(maxC, state.cycleOf[i]);
     }
     const int len = maxC - minC + 1;
+    // Count each cycle's ops, place them in program order, then order
+    // each bundle by op id.
     sb.bundles.assign(len, Bundle{});
+    for (size_t i = 0; i < bb.ops.size(); ++i)
+        if (bb.ops[i].op != Opcode::NOP)
+            ++sb.bundles[state.cycleOf[i] - minC].count;
+    std::uint32_t at = 0;
+    for (auto &bu : sb.bundles) {
+        bu.first = at;
+        at += bu.count;
+    }
+    sb.ops.resize(at);
+    std::vector<std::uint32_t> fill(len);
     for (size_t i = 0; i < bb.ops.size(); ++i) {
         if (bb.ops[i].op == Opcode::NOP)
             continue;
-        Bundle &bu = sb.bundles[state.cycleOf[i] - minC];
-        bu.ops.push_back({bb.ops[i], state.slotOf[i]});
+        const int c = state.cycleOf[i] - minC;
+        sb.ops[sb.bundles[c].first + fill[c]++] = {bb.ops[i],
+                                                   state.slotOf[i]};
     }
-    for (auto &bu : sb.bundles) {
-        std::sort(bu.ops.begin(), bu.ops.end(),
+    for (const auto &bu : sb.bundles) {
+        const auto ops = sb.opsOf(bu);
+        std::sort(ops.begin(), ops.end(),
                   [](const SchedOp &a, const SchedOp &b) {
                       return a.op.id < b.op.id;
                   });

@@ -10,13 +10,23 @@
 namespace lbp
 {
 
+void
+SchedBlock::addOp(std::size_t cycle, const SchedOp &so)
+{
+    Bundle &b = bundles[cycle];
+    ops.insert(ops.begin() + b.first + b.count, so);
+    ++b.count;
+    for (std::size_t c = cycle + 1; c < bundles.size(); ++c)
+        ++bundles[c].first;
+}
+
 int
 SchedBlock::sizeOps() const
 {
     int n = 0;
     for (const auto &b : bundles) {
         bool any = false;
-        for (const auto &so : b.ops) {
+        for (const auto &so : opsOf(b)) {
             if (so.op.op != Opcode::NOP) {
                 ++n;
                 any = true;
@@ -76,7 +86,7 @@ validateSchedule(const BasicBlock &bb, const SchedBlock &sb,
     size_t seen = 0;
     for (size_t cy = 0; cy < sb.bundles.size(); ++cy) {
         std::vector<char> slotUsed(Machine::width, 0);
-        for (const auto &so : sb.bundles[cy].ops) {
+        for (const auto &so : sb.opsOf(sb.bundles[cy])) {
             if (so.op.op == Opcode::NOP)
                 continue;
             if (so.slot < 0 || so.slot >= Machine::width) {
@@ -96,7 +106,7 @@ validateSchedule(const BasicBlock &bb, const SchedBlock &sb,
     // Each IR op scheduled exactly once (matched by op id).
     std::map<OpId, int> sched_cycle;
     for (size_t cy = 0; cy < sb.bundles.size(); ++cy) {
-        for (const auto &so : sb.bundles[cy].ops) {
+        for (const auto &so : sb.opsOf(sb.bundles[cy])) {
             if (so.op.op == Opcode::NOP)
                 continue;
             if (sched_cycle.count(so.op.id))

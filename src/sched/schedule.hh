@@ -10,6 +10,7 @@
 #define LBP_SCHED_SCHEDULE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ir/program.hh"
@@ -25,10 +26,14 @@ struct SchedOp
     int slot = kNoSlot;
 };
 
-/** One VLIW issue cycle: up to `Machine::width` slot-distinct ops. */
+/**
+ * One VLIW issue cycle: up to `Machine::width` slot-distinct ops, held
+ * in its block's SchedBlock::ops at [first, first + count).
+ */
 struct Bundle
 {
-    std::vector<SchedOp> ops;
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
 
     /** Global operation address of the first op (set at link time). */
     std::int64_t addr = -1;
@@ -38,7 +43,7 @@ struct Bundle
      * but an all-NOP cycle still occupies one (multi-cycle-NOP) op.
      */
     int sizeOps() const
-    { return ops.empty() ? 1 : static_cast<int>(ops.size()); }
+    { return count == 0 ? 1 : static_cast<int>(count); }
 };
 
 /** Scheduled form of one basic block. */
@@ -46,7 +51,22 @@ struct SchedBlock
 {
     BlockId irBlock = kNoBlock;
     bool valid = false;
+    /**
+     * The ops of every bundle, bundle after bundle: `bundles` tile
+     * this vector in order, so a block's schedule is two allocations
+     * however many cycles it has.
+     */
+    std::vector<SchedOp> ops;
     std::vector<Bundle> bundles;
+
+    /** The ops of bundle @p b of this block, in issue order. */
+    std::span<SchedOp> opsOf(const Bundle &b)
+    { return {ops.data() + b.first, b.count}; }
+    std::span<const SchedOp> opsOf(const Bundle &b) const
+    { return {ops.data() + b.first, b.count}; }
+
+    /** Append @p so to bundle @p cycle, after its current ops. */
+    void addOp(std::size_t cycle, const SchedOp &so);
 
     // Loop-body metadata (meaningful when isLoopBody).
     bool isLoopBody = false;

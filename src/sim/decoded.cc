@@ -39,18 +39,15 @@ buildLoopTable(const SchedProgram &code)
         for (const SchedBlock &sb : sf.blocks) {
             if (!sb.valid)
                 continue;
-            for (const Bundle &bu : sb.bundles) {
-                for (const SchedOp &so : bu.ops) {
-                    if (!isBufferOp(so.op.op))
-                        continue;
-                    const Operation &op = so.op;
-                    LBP_ASSERT(op.target != kNoBlock &&
-                                   op.target < sf.blocks.size(),
-                               "buffer op without loop head in ",
-                               fn.name);
-                    found.push_back({{f, op.id}, &fn, &op,
-                                     &sf.blocks[op.target]});
-                }
+            for (const SchedOp &so : sb.ops) {
+                if (!isBufferOp(so.op.op))
+                    continue;
+                const Operation &op = so.op;
+                LBP_ASSERT(op.target != kNoBlock &&
+                               op.target < sf.blocks.size(),
+                           "buffer op without loop head in ", fn.name);
+                found.push_back({{f, op.id}, &fn, &op,
+                                 &sf.blocks[op.target]});
             }
         }
     }
@@ -277,13 +274,13 @@ decodeProgram(const SchedProgram &code, const LoopTable &loops)
             db.bundleCount =
                 static_cast<std::uint32_t>(sb.bundles.size());
             for (const Bundle &bu : sb.bundles) {
-                LBP_ASSERT(bu.ops.size() <=
+                LBP_ASSERT(bu.count <=
                                static_cast<size_t>(Machine::width),
                            "overwide bundle in predecode");
                 DecodedBundle dbu;
                 dbu.first = static_cast<std::uint32_t>(df.ops.size());
                 dbu.sizeOps = bu.sizeOps();
-                for (const SchedOp &so : bu.ops) {
+                for (const SchedOp &so : sb.opsOf(bu)) {
                     if (so.op.op == Opcode::NOP)
                         continue;
                     df.ops.push_back(
@@ -317,13 +314,10 @@ rebindBufferAddresses(DecodedImage &img, const SchedProgram &code)
         for (const SchedBlock &sb : code.functions[f].blocks) {
             if (!sb.valid)
                 continue;
-            for (const Bundle &bu : sb.bundles) {
-                for (const SchedOp &so : bu.ops) {
-                    if (!isBufferOp(so.op.op))
-                        continue;
-                    addr[img.loops.idOf({f, so.op.id})] =
-                        so.op.bufAddr;
-                }
+            for (const SchedOp &so : sb.ops) {
+                if (!isBufferOp(so.op.op))
+                    continue;
+                addr[img.loops.idOf({f, so.op.id})] = so.op.bufAddr;
             }
         }
     }

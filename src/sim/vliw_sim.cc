@@ -288,7 +288,7 @@ VliwSim::callFunction(FuncId f, const std::vector<std::int64_t> &args)
             redirRow = row;
         };
 
-        for (const auto &so : bu.ops) {
+        for (const auto &so : sb.opsOf(bu)) {
             const Operation &op = so.op;
             if (op.op == Opcode::NOP)
                 continue;

@@ -235,7 +235,7 @@ TEST(Modulo, RegistrySchedulesPinned)
                                  std::uint64_t(sb.ii),
                                  std::uint64_t(sb.mveFactor)});
                     for (size_t c = 0; c < sb.bundles.size(); ++c) {
-                        for (const auto &so : sb.bundles[c].ops) {
+                        for (const auto &so : sb.opsOf(sb.bundles[c])) {
                             vals.insert(vals.end(),
                                         {so.op.id, c,
                                          std::uint64_t(so.slot)});

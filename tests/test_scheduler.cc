@@ -85,7 +85,7 @@ TEST(ListScheduler, MemUnitsLimitLoads)
     // Count loads per cycle.
     for (const auto &bu : sb.bundles) {
         int loads = 0;
-        for (const auto &so : bu.ops)
+        for (const auto &so : sb.opsOf(bu))
             loads += isLoad(so.op.op);
         EXPECT_LE(loads, 3);
     }
@@ -111,7 +111,7 @@ TEST(ListScheduler, BranchLast)
     EXPECT_TRUE(validateSchedule(bb, sb, machine).empty());
     // The branch appears in the final bundle.
     bool brInLast = false;
-    for (const auto &so : sb.bundles.back().ops)
+    for (const auto &so : sb.opsOf(sb.bundles.back()))
         brInLast |= so.op.op == Opcode::BR;
     EXPECT_TRUE(brInLast);
 }

@@ -68,13 +68,11 @@ TEST(SlotPred, LoweringRewritesDefinesToSlots)
         for (const auto &sb : sf.blocks) {
             if (!sb.valid || !sb.isLoopBody)
                 continue;
-            for (const auto &bu : sb.bundles) {
-                for (const auto &so : bu.ops) {
-                    if (so.op.op != Opcode::PRED_DEF)
-                        continue;
-                    for (const auto &d : so.op.dsts)
-                        sawSlotDest |= d.isSlot();
-                }
+            for (const auto &so : sb.ops) {
+                if (so.op.op != Opcode::PRED_DEF)
+                    continue;
+                for (const auto &d : so.op.dsts)
+                    sawSlotDest |= d.isSlot();
             }
         }
     }
@@ -92,16 +90,14 @@ TEST(SlotPred, SlotDestinationsMatchConsumerSlots)
             if (!sb.valid || !sb.isLoopBody)
                 continue;
             std::set<int> defined, consumed;
-            for (const auto &bu : sb.bundles) {
-                for (const auto &so : bu.ops) {
-                    if (so.op.op == Opcode::PRED_DEF) {
-                        for (const auto &d : so.op.dsts)
-                            if (d.isSlot())
-                                defined.insert(d.asSlot());
-                    }
-                    if (so.op.sensitive)
-                        consumed.insert(so.slot);
+            for (const auto &so : sb.ops) {
+                if (so.op.op == Opcode::PRED_DEF) {
+                    for (const auto &d : so.op.dsts)
+                        if (d.isSlot())
+                            defined.insert(d.asSlot());
                 }
+                if (so.op.sensitive)
+                    consumed.insert(so.slot);
             }
             for (int s : consumed)
                 EXPECT_TRUE(defined.count(s))
@@ -171,9 +167,9 @@ TEST(SlotPred, CloneInsertedForManyConsumerSlots)
     sb.valid = true;
     sb.isLoopBody = true;
     sb.bundles.resize(2);
-    sb.bundles[0].ops.push_back({bb.ops[0], 4});
+    sb.addOp(0, {bb.ops[0], 4});
     for (int i = 0; i < 5; ++i)
-        sb.bundles[1].ops.push_back({bb.ops[1 + i], i});
+        sb.addOp(1, {bb.ops[1 + i], i});
 
     Machine machine;
     SlotLoweringStats stats;
@@ -182,9 +178,8 @@ TEST(SlotPred, CloneInsertedForManyConsumerSlots)
     EXPECT_GE(stats.definesCloned, 2);
     // All five consumer slots must now be driven.
     std::set<int> defined;
-    for (const auto &bu : sb.bundles)
-        for (const auto &so : bu.ops)
-            if (so.op.op == Opcode::PRED_DEF)
+    for (const auto &so : sb.ops)
+        if (so.op.op == Opcode::PRED_DEF)
                 for (const auto &d : so.op.dsts)
                     if (d.isSlot())
                         defined.insert(d.asSlot());
@@ -221,20 +216,14 @@ TEST(SlotPred, OverlappingLiveRangesRejected)
     sb.irBlock = bb.id;
     sb.valid = true;
     sb.bundles.resize(3);
-    sb.bundles[0].ops.push_back({bb.ops[0], 4});
-    sb.bundles[0].ops.push_back({bb.ops[1], 5});
-    // All consumers forced into slot 2: p1 live [0,2], p2 live [0,1].
-    sb.bundles[1].ops.push_back({bb.ops[2], 2});
-    sb.bundles[1].ops.push_back({bb.ops[3], 3});
-    sb.bundles[2].ops.push_back({bb.ops[4], 2});
-    // p2's consumer is in slot 3; move it to slot 2 to conflict:
-    sb.bundles[1].ops[1].slot = 2;
-    // Two ops in one slot same cycle is itself illegal; put p2's
-    // consumer in cycle 2 slot 2 instead, overlapping p1's range.
-    sb.bundles[1].ops.pop_back();
-    sb.bundles[2].ops.push_back({bb.ops[3], 3});
-    sb.bundles[2].ops.back().slot = 2;
-    // Now: slot 2 hosts p1 (cycles 0..2) and p2 (cycles 0..2).
+    sb.addOp(0, {bb.ops[0], 4});
+    sb.addOp(0, {bb.ops[1], 5});
+    // All consumers forced into slot 2: p1's in cycles 1 and 2, and
+    // p2's in cycle 2 (two in one slot and cycle would itself be
+    // illegal), so p1 and p2 both hold slot 2 over cycles 0..2.
+    sb.addOp(1, {bb.ops[2], 2});
+    sb.addOp(2, {bb.ops[4], 2});
+    sb.addOp(2, {bb.ops[3], 2});
 
     Machine machine;
     SlotLoweringStats stats;
