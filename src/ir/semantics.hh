@@ -55,6 +55,21 @@ asBits(double d)
     return v;
 }
 
+/** The one quiet NaN every FP op returns in place of a NaN result. */
+inline constexpr std::int64_t kCanonicalNaN = 0x7ff8000000000000;
+
+/**
+ * An FP op's result bits. On two NaN operands x86 returns the payload
+ * of whichever one the emitted instruction takes first, and that
+ * order is the compiler's choice at each inlined call site; one
+ * canonical NaN makes every executor agree.
+ */
+inline std::int64_t
+fpResult(double d)
+{
+    return d != d ? kCanonicalNaN : asBits(d);
+}
+
 /** Evaluate a comparison condition on two signed 64-bit values. */
 [[gnu::always_inline]] inline bool
 evalCond(CmpCond c, std::int64_t a, std::int64_t b)
@@ -81,7 +96,8 @@ evalCond(CmpCond c, std::int64_t a, std::int64_t b)
  * The binary ALU family (ADD…FDIV, including CMP under @p cond).
  * Integer arithmetic wraps in two's complement: INT64_MIN / -1 is
  * INT64_MIN and INT64_MIN % -1 is 0, so a == b * (a / b) + a % b
- * holds for every non-zero divisor. A zero divisor is a fault.
+ * holds for every non-zero divisor. A zero divisor is a fault. An FP
+ * op whose result is NaN returns kCanonicalNaN.
  */
 [[gnu::always_inline]] inline std::int64_t
 evalBinary(Opcode op, CmpCond cond, std::int64_t a, std::int64_t b)
@@ -109,10 +125,10 @@ evalBinary(Opcode op, CmpCond cond, std::int64_t a, std::int64_t b)
       case Opcode::SATADD: return sat16(wrap(U(a) + U(b)));
       case Opcode::SATSUB: return sat16(wrap(U(a) - U(b)));
       case Opcode::CMP: return evalCond(cond, a, b) ? 1 : 0;
-      case Opcode::FADD: return asBits(asDouble(a) + asDouble(b));
-      case Opcode::FSUB: return asBits(asDouble(a) - asDouble(b));
-      case Opcode::FMUL: return asBits(asDouble(a) * asDouble(b));
-      case Opcode::FDIV: return asBits(asDouble(a) / asDouble(b));
+      case Opcode::FADD: return fpResult(asDouble(a) + asDouble(b));
+      case Opcode::FSUB: return fpResult(asDouble(a) - asDouble(b));
+      case Opcode::FMUL: return fpResult(asDouble(a) * asDouble(b));
+      case Opcode::FDIV: return fpResult(asDouble(a) / asDouble(b));
       default: LBP_PANIC("evalBinary on ", opcodeName(op));
     }
 }
