@@ -10,11 +10,7 @@ namespace lbp
 namespace
 {
 
-/**
- * Per-register and per-memory-op construction state, kept per thread
- * and reused by every graph: once it has grown to the largest block
- * seen, it allocates nothing.
- */
+/** Per-register and per-memory-op construction state of one graph. */
 struct Scratch
 {
     /** Access history of one register or predicate in the block. */
@@ -46,55 +42,34 @@ struct Scratch
         int size;
     };
 
-    /** Dense id -> local index maps, valid where stamp == epoch. */
-    struct IdMap
-    {
-        std::vector<std::uint32_t> stamp, local;
-    };
-
-    std::uint32_t epoch = 0;
-    IdMap regIds, predIds;
+    /** Dense id -> index into `regs` / `preds`; kAbsent if the
+     *  block does not touch the id. */
+    static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+    std::vector<std::uint32_t> regIds, predIds;
     std::vector<Access> regs, preds;
     std::vector<Link> links;
     std::vector<MemAccess> accesses;
     std::vector<int> stores;
     std::vector<int> carried;
-    std::vector<std::uint32_t> cursor;
-
-    void begin()
-    {
-        if (++epoch == 0) {
-            std::fill(regIds.stamp.begin(), regIds.stamp.end(), 0);
-            std::fill(predIds.stamp.begin(), predIds.stamp.end(), 0);
-            epoch = 1;
-        }
-        regs.clear();
-        preds.clear();
-        links.clear();
-        accesses.clear();
-        stores.clear();
-    }
 
     /** The access record of @p id, created on first touch. */
-    Access &touch(IdMap &map, std::vector<Access> &table, std::uint32_t id)
+    static Access &touch(std::vector<std::uint32_t> &map,
+                         std::vector<Access> &table, std::uint32_t id)
     {
-        if (id >= map.stamp.size()) {
-            map.stamp.resize(id + 1, 0);
-            map.local.resize(id + 1);
-        }
-        if (map.stamp[id] != epoch) {
-            map.stamp[id] = epoch;
-            map.local[id] = static_cast<std::uint32_t>(table.size());
+        if (id >= map.size())
+            map.resize(id + 1, kAbsent);
+        if (map[id] == kAbsent) {
+            map[id] = static_cast<std::uint32_t>(table.size());
             table.push_back({});
             table.back().id = id;
         }
-        return table[map.local[id]];
+        return table[map[id]];
     }
     /** Local index of register @p r (touched first). */
     int localReg(RegId r)
     {
         touch(regIds, regs, r);
-        return static_cast<int>(regIds.local[r]);
+        return static_cast<int>(regIds[r]);
     }
 
     static void append(std::vector<Link> &links, int &head, int &tail,
@@ -186,9 +161,8 @@ DepGraph::addEdge(EdgeIndex &index, int from, int to, DepKind kind,
 
 DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
 {
-    thread_local Scratch s;
+    Scratch s;
     numOps_ = static_cast<int>(bb.ops.size());
-    s.begin();
     EdgeIndex index(4 * bb.ops.size());
 
     // --- Register dependences (general + predicate) ---
@@ -378,10 +352,11 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
     for (int r = 0; r < 2 * n + 1; ++r)
         adjStart_[r + 1] += adjStart_[r];
     adj_.resize(2 * edges_.size());
-    s.cursor.assign(adjStart_.begin(), adjStart_.end() - 1);
+    std::vector<std::uint32_t> cursor(adjStart_.begin(),
+                                      adjStart_.end() - 1);
     for (size_t e = 0; e < edges_.size(); ++e) {
-        adj_[s.cursor[edges_[e].from]++] = static_cast<int>(e);
-        adj_[s.cursor[n + 1 + edges_[e].to]++] = static_cast<int>(e);
+        adj_[cursor[edges_[e].from]++] = static_cast<int>(e);
+        adj_[cursor[n + 1 + edges_[e].to]++] = static_cast<int>(e);
     }
 }
 
