@@ -9,19 +9,23 @@ std::vector<BlockId>
 BasicBlock::successors() const
 {
     std::vector<BlockId> succs;
-    for (const auto &o : ops) {
-        if (o.isBranchOp() && o.target != kNoBlock) {
-            if (std::find(succs.begin(), succs.end(), o.target) ==
-                succs.end()) {
-                succs.push_back(o.target);
-            }
-        }
-    }
-    if (fallthrough != kNoBlock &&
-        std::find(succs.begin(), succs.end(), fallthrough) == succs.end()) {
-        succs.push_back(fallthrough);
-    }
+    appendSuccessors(succs);
     return succs;
+}
+
+void
+BasicBlock::appendSuccessors(std::vector<BlockId> &out) const
+{
+    const auto first = static_cast<std::ptrdiff_t>(out.size());
+    auto add = [&](BlockId s) {
+        if (std::find(out.begin() + first, out.end(), s) == out.end())
+            out.push_back(s);
+    };
+    for (const auto &o : ops)
+        if (o.isBranchOp() && o.target != kNoBlock)
+            add(o.target);
+    if (fallthrough != kNoBlock)
+        add(fallthrough);
 }
 
 bool

@@ -43,6 +43,12 @@ class BasicBlock
     /** All successor block ids (branch targets then fall-through). */
     std::vector<BlockId> successors() const;
 
+    /**
+     * Append successors() to @p out, deduplicated among the ids this
+     * call appends (entries already in @p out are not consulted).
+     */
+    void appendSuccessors(std::vector<BlockId> &out) const;
+
     /** True if the final operation unconditionally leaves the block. */
     bool endsWithUnconditional() const;
 

@@ -23,19 +23,11 @@ Function::successorLists() const
     BlockLists out;
     out.offsets.reserve(blocks.size() + 1);
     out.offsets.push_back(0);
-    auto add = [&](const BasicBlock &b, BlockId s) {
-        LBP_ASSERT(b.dead || s < blocks.size(), "bad successor in ",
-                   name);
-        const auto first = out.ids.begin() + out.offsets[b.id];
-        if (std::find(first, out.ids.end(), s) == out.ids.end())
-            out.ids.push_back(s);
-    };
     for (const auto &b : blocks) {
-        for (const auto &o : b.ops)
-            if (o.isBranchOp() && o.target != kNoBlock)
-                add(b, o.target);
-        if (b.fallthrough != kNoBlock)
-            add(b, b.fallthrough);
+        b.appendSuccessors(out.ids);
+        for (auto i = out.offsets.back(); i < out.ids.size(); ++i)
+            LBP_ASSERT(b.dead || out.ids[i] < blocks.size(),
+                       "bad successor in ", name);
         out.offsets.push_back(static_cast<std::uint32_t>(out.ids.size()));
     }
     return out;
